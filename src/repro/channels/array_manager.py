@@ -459,13 +459,10 @@ class ArrayNetworkManager:
         self.activation_fault_prob: float = 0.0
         self._fault_rng = None
         self.auto_redistribute = True
-        #: Micro-epoch batching state (see :meth:`begin_micro_epoch`):
-        #: while an epoch is open, ``_epoch_links`` holds the union of
-        #: the deferred events' conflict keys and ``_epoch_affected``
-        #: the links whose water-fill is postponed until the next flush.
+        #: See the object core: False leaves ``EventImpact.direct`` /
+        #: ``indirect_changed`` empty and skips the work of building them.
+        self.record_trajectories = True
         self._epoch_active = False
-        self._epoch_links: Set[int] = set()
-        self._epoch_affected: Set[int] = set()
 
     # ------------------------------------------------------------------
     # queries
@@ -540,11 +537,6 @@ class ArrayNetworkManager:
             impact.accepted = False
             return None, impact
 
-        if self._epoch_active:
-            # Before the first mutation: flush the pending fill unless
-            # this arrival's conflict key is disjoint from the epoch's.
-            self._epoch_guard(plan.idx_list)
-
         primary_set = self._conflict_set(plan.link_set)
         conn_id = self._next_id
         self._next_id += 1
@@ -552,7 +544,7 @@ class ArrayNetworkManager:
 
         prim_idx = plan.idx
         affected: Set[int] = set(plan.idx_set)
-        direct_ids = self._reclaim_direct(prim_idx, affected, impact)
+        self._reclaim_direct(prim_idx, affected, impact)
 
         self._reserve_primary_checked(prim_idx, b_min)
 
@@ -574,7 +566,7 @@ class ArrayNetworkManager:
                 # The primary's own reservation consumed the headroom the
                 # backup needed (only possible with overlapping routes).
                 self.links.sub_primary_min(prim_idx, b_min)
-                self._redistribute(affected, impact, direct_ids)
+                self._redistribute(affected, impact)
                 self.stats.rejected_no_backup += 1
                 impact.accepted = False
                 return None, impact
@@ -605,7 +597,7 @@ class ArrayNetworkManager:
         for li in prim_idx.tolist():
             self._prims_on[li].add(h)
 
-        self._redistribute(affected, impact, direct_ids)
+        self._redistribute(affected, impact)
         self.stats.accepted += 1
         return ArrayConnView(self, h), impact
 
@@ -626,7 +618,7 @@ class ArrayNetworkManager:
 
     def _reclaim_direct(
         self, prim_idx: np.ndarray, affected: Set[int], impact: EventImpact
-    ) -> Set[int]:
+    ) -> None:
         """Drop every directly-chained channel to its minimum (vectorized).
 
         The per-link extras columns accumulate the reclamations in
@@ -636,13 +628,16 @@ class ArrayNetworkManager:
         sets = self._prims_on
         groups = [sets[li] for li in prim_idx.tolist() if sets[li]]
         if not groups:
-            return set()
+            return
         hset: Set[int] = set().union(*groups)
         conns = self.conns
         cid_py = conns.cid_py
         hs_list = sorted(hset, key=cid_py.__getitem__)
         hs = np.fromiter(hs_list, np.int64, len(hs_list))
-        before = conns.level[hs]
+        if self.record_trajectories:
+            direct = impact.direct
+            for h, lvl in zip(hs_list, conns.level[hs].tolist()):
+                direct[cid_py[h]] = (lvl, 0)
         extras = conns.conn_extra[hs]
         dropping = extras != 0.0
         if bool(dropping.any()):
@@ -657,10 +652,6 @@ class ArrayNetworkManager:
             else:
                 affected.update(flat[rep > EPSILON].tolist())
         conns.level[hs] = 0
-        direct = impact.direct
-        for h, lvl in zip(hs_list, before.tolist()):
-            direct[cid_py[h]] = (lvl, 0)
-        return {cid_py[h] for h in hs_list}
 
     # ------------------------------------------------------------------
     # route selection
@@ -819,9 +810,7 @@ class ArrayNetworkManager:
 
         if scode == _ACTIVE:
             prim_idx = conns.prim_slice(h).copy()
-            if self._epoch_active:
-                self._epoch_guard(prim_idx.tolist())
-            direct_ids = self._record_direct_levels(prim_idx, impact, skip=h)
+            self._record_direct_levels(prim_idx, impact, skip=h)
             for li in prim_idx.tolist():
                 self._prims_on[li].discard(h)
             t.release_primary_bulk(prim_idx, b_min, float(conns.conn_extra[h]))
@@ -833,9 +822,7 @@ class ArrayNetworkManager:
                     self._backups_on[li].discard(h)
         elif scode == _FAILED_OVER:
             bk_idx = conns.bk_slice(h).copy()
-            if self._epoch_active:
-                self._epoch_guard(bk_idx.tolist())
-            direct_ids = self._record_direct_levels(bk_idx, impact, skip=h)
+            self._record_direct_levels(bk_idx, impact, skip=h)
             t.sub_activated(bk_idx, b_min)
             for li in bk_idx.tolist():
                 self._active_on[li].discard(h)
@@ -844,22 +831,24 @@ class ArrayNetworkManager:
             raise ReservationError(f"connection {conn_id} is not live")
 
         conns.free(h, ConnectionState.TERMINATED)
-        self._redistribute(affected, impact, direct_ids)
+        self._redistribute(affected, impact)
         self.stats.terminated += 1
         return impact
 
     def _record_direct_levels(
         self, path_idx: np.ndarray, impact: EventImpact, skip: int
-    ) -> Set[int]:
+    ) -> None:
         """Record the pre-event level of every directly-chained channel."""
+        if not self.record_trajectories:
+            return
         sets = self._prims_on
         groups = [sets[li] for li in path_idx.tolist() if sets[li]]
         if not groups:
-            return set()
+            return
         hset: Set[int] = set().union(*groups)
         hset.discard(skip)
         if not hset:
-            return set()
+            return
         conns = self.conns
         cid_py = conns.cid_py
         hs_list = sorted(hset, key=cid_py.__getitem__)
@@ -868,7 +857,6 @@ class ArrayNetworkManager:
         direct = impact.direct
         for h, lvl in zip(hs_list, levels):
             direct[cid_py[h]] = (lvl, lvl)
-        return {cid_py[h] for h in hs_list}
 
     # ------------------------------------------------------------------
     # failures
@@ -930,27 +918,10 @@ class ArrayNetworkManager:
         return sorted(handles, key=self.conns.cid_py.__getitem__)
 
     def _apply_failure(self, lids: List[LinkId], impact: EventImpact) -> EventImpact:
-        """Apply an atomic failure; an open micro-epoch is a barrier.
-
-        Failures reshape the candidate sets themselves (drops,
-        fail-overs, backup releases), so they are never deferred: the
-        pending fill is flushed first, the failure runs with immediate
-        sequential fills (its impact is therefore complete even while
-        an epoch is open), and batching resumes afterwards.
-        """
-        if not self._epoch_active:
-            return self._apply_failure_seq(lids, impact)
-        self.flush_micro_epoch()
-        self._epoch_active = False
-        try:
-            return self._apply_failure_seq(lids, impact)
-        finally:
-            self._epoch_active = True
-
-    def _apply_failure_seq(self, lids: List[LinkId], impact: EventImpact) -> EventImpact:
         """Shared failure machinery over an atomic set of failed links."""
         t = self.links
         conns = self.conns
+        record = self.record_trajectories
         for lid in lids:
             self.state.fail_link(lid)
             self.stats.link_failures += 1
@@ -1006,7 +977,8 @@ class ArrayNetworkManager:
         for h in primary_victims:
             cid = int(conns.conn_id[h])
             b_min = float(conns.b_min[h])
-            before_level = int(conns.level[h])
+            if record:
+                impact.direct[cid] = (int(conns.level[h]), 0)
             prim_idx = conns.prim_slice(h).copy()
             for li in prim_idx.tolist():
                 self._prims_on[li].discard(h)
@@ -1014,7 +986,6 @@ class ArrayNetworkManager:
             conns.conn_extra[h] = 0.0
             conns.level[h] = 0
             affected.update(prim_idx[~t.failed[prim_idx]].tolist())
-            impact.direct[cid] = (before_level, 0)
 
             had_backup = bool(conns.bk_len[h])
             bk_idx = conns.bk_slice(h).copy() if had_backup else None
@@ -1039,11 +1010,10 @@ class ArrayNetworkManager:
                 # up their extras before the backup goes live.
                 for bli in bk_idx.tolist():
                     for other in self._sorted_by_cid(self._prims_on[bli]):
-                        other_cid = int(conns.conn_id[other])
                         prev, freed = drop_to_minimum_soa(t, conns, other)
                         affected.update(freed.tolist())
-                        if other_cid not in impact.direct:
-                            impact.direct[other_cid] = (prev, 0)
+                        if record:
+                            impact.direct.setdefault(int(conns.conn_id[other]), (prev, 0))
                 conflict = self._conflict_of(h)
                 for li in bk_idx.tolist():
                     t.activate_backup(li, b_min, conflict)
@@ -1066,8 +1036,7 @@ class ArrayNetworkManager:
                 if had_backup:
                     self.stats.double_failure_drops += 1
 
-        direct_ids = set(impact.direct)
-        self._redistribute(affected, impact, direct_ids)
+        self._redistribute(affected, impact)
         return impact
 
     def repair_link(self, lid: LinkId) -> EventImpact:
@@ -1111,104 +1080,24 @@ class ArrayNetworkManager:
         return True
 
     # ------------------------------------------------------------------
-    # micro-epoch batching
+    # micro-epoch bracket
     # ------------------------------------------------------------------
     def begin_micro_epoch(self) -> None:
-        """Open a micro-epoch: defer the fills of link-disjoint events.
+        """Open the bracket one ``ServiceEngine.apply_batch`` runs inside.
 
-        While an epoch is open, churn events apply their reservations,
-        reclamations and releases immediately but postpone the
-        redistribution water-fill.  Consecutive events whose conflict
-        keys (see :meth:`_epoch_guard`) are pairwise link-disjoint
-        share one batched fill at the next flush point; an event whose
-        key overlaps the epoch's flushes the pending fill *before*
-        mutating anything, so the sequential trajectory is reproduced
-        bit for bit (DESIGN.md gives the commutation argument).
-        Admission and routing are unaffected by an open epoch: they
-        read only extras-free columns (``headroom``), which deferred
-        fills never touch, so accept/reject decisions and routes are
-        exact.  Failures and repairs are epoch barriers and always run
-        with immediate fills.
-
-        Caveat: while an epoch is open, the level trajectories folded
-        into each churn event's :class:`EventImpact` (``direct`` /
-        ``indirect_changed``) reflect the *pre-fill* state, and
-        level-dependent queries (``average_live_bandwidth``,
-        ``level_histogram``) lag the sequential trajectory until the
-        next flush.  Callers that consume those must flush first — the
-        simulator batches only during warm-up with tracing and
-        auditing off.
+        Purely a marker: every event fills when it happens, so state
+        and impacts inside a bracket are the sequential ones (deferring
+        fills across a bracket was measured and retired — DESIGN.md
+        §13.3).
         """
         if self._epoch_active:
             raise SimulationError("micro-epoch already open")
         self._epoch_active = True
-        self._epoch_links = set()
-        self._epoch_affected = set()
-
-    def flush_micro_epoch(self) -> Dict[int, int]:
-        """Run the deferred water-fill now; the epoch stays open.
-
-        Returns ``conn_id -> levels granted`` like
-        :meth:`redistribute_all`.  A no-op (empty dict) when no epoch
-        is open or nothing is pending.
-        """
-        if not self._epoch_active or not self._epoch_affected:
-            self._epoch_links = set()
-            self._epoch_affected = set()
-            return {}
-        affected = self._epoch_affected
-        self._epoch_links = set()
-        self._epoch_affected = set()
-        sets = self._prims_on
-        groups = [sets[li] for li in affected if sets[li]]
-        if not groups:
-            return {}
-        hset: Set[int] = set().union(*groups)
-        conns = self.conns
-        hs_list = sorted(hset, key=conns.cid_py.__getitem__)
-        return redistribute_soa(self.links, conns, hs_list, self.policy)
 
     def end_micro_epoch(self) -> Dict[int, int]:
-        """Flush the deferred fill and close the epoch."""
-        granted = self.flush_micro_epoch()
+        """Close the bracket; nothing is ever pending, so ``{}``."""
         self._epoch_active = False
-        return granted
-
-    def _epoch_guard(self, core: List[int]) -> None:
-        """Flush the pending fill unless this event's key is disjoint.
-
-        The conflict key is the two-step link closure of the event's
-        own (dense) link indices: the paths of every ACTIVE primary
-        touching them, plus the paths of every primary touching *those*
-        links.  That covers everything the event's fill may read or
-        write — reclamation spreads the affected set to the direct
-        channels' full paths, whose fill candidates' paths are one
-        neighbourhood further out.  Two events with disjoint keys
-        therefore have disjoint fill candidate sets and disjoint
-        per-link float sequences: their fills commute bitwise with each
-        other and with the other event's reservations.
-        """
-        sets = self._prims_on
-        path_py = self.conns.path_py
-        key = set(core)
-        chan: Set[int] = set()
-        frontier = key
-        for _ in range(2):
-            groups = [sets[li] for li in frontier if sets[li]]
-            if not groups:
-                break
-            fresh = set().union(*groups) - chan
-            if not fresh:
-                break
-            chan |= fresh
-            frontier = set()
-            for h in fresh:
-                frontier.update(path_py[h])
-            frontier -= key
-            key |= frontier
-        if self._epoch_links and not self._epoch_links.isdisjoint(key):
-            self.flush_micro_epoch()
-        self._epoch_links.update(key)
+        return {}
 
     # ------------------------------------------------------------------
     # internals
@@ -1228,20 +1117,9 @@ class ArrayNetworkManager:
         hs = hs[np.argsort(conns.conn_id[hs])]
         return redistribute_soa(self.links, conns, hs, self.policy)
 
-    def _redistribute(
-        self, affected: Set[int], impact: EventImpact, direct_ids: Set[int]
-    ) -> None:
+    def _redistribute(self, affected: Set[int], impact: EventImpact) -> None:
         """Water-fill the affected links and fold the result into ``impact``."""
         if not affected or not self.auto_redistribute:
-            return
-        if self._epoch_active:
-            # Deferred: the fill runs at the next flush point.  The
-            # guard already proved this event's conflict key disjoint
-            # from every other deferred event's, so the batched fill
-            # reproduces the sequential fills bit for bit.  The
-            # impact's level trajectory stays pre-fill (documented in
-            # :meth:`begin_micro_epoch`).
-            self._epoch_affected |= affected
             return
         sets = self._prims_on
         groups = [sets[li] for li in affected if sets[li]]
@@ -1250,38 +1128,25 @@ class ArrayNetworkManager:
         hset: Set[int] = set().union(*groups)
         conns = self.conns
         hs_list = sorted(hset, key=conns.cid_py.__getitem__)
+        if not self.record_trajectories:
+            redistribute_soa(self.links, conns, hs_list, self.policy)
+            return
         afters: Dict[int, int] = {}
         granted = redistribute_soa(self.links, conns, hs_list, self.policy, afters)
-        if not granted:
-            return
+        # Every ``impact.direct`` writer stored ``(before, level at fill
+        # start)`` and only the fill moves a level after that, so a
+        # riser's post-event level is the fill's ``after``.  Channels
+        # dropped by a failure are never candidates: their censored
+        # ``(before, 0)`` entry stands.
+        direct = impact.direct
         indirect = impact.indirect_changed
         for cid, inc in granted.items():
-            if cid not in direct_ids:
-                after = afters[cid]
+            after = afters[cid]
+            seen = direct.get(cid)
+            if seen is None:
                 indirect[cid] = (after - inc, after)
-        self._finalize_direct(impact, direct_ids, granted)
-
-    def _finalize_direct(
-        self, impact: EventImpact, direct_ids: Set[int], granted: Dict[int, int]
-    ) -> None:
-        """Set the post-redistribution level of every direct observation.
-
-        Every ``impact.direct`` writer stores ``(before, level at fill
-        start)``, and only the fill moves a direct channel's level after
-        that — so the post-fill level is the stored second element plus
-        whatever the fill granted.  Dropped-during-failure ids are never
-        fill candidates, so their censored ``(before, 0)`` entry is
-        reproduced unchanged.
-        """
-        if not direct_ids:
-            return
-        get = granted.get
-        direct = impact.direct
-        for cid in direct_ids:
-            inc = get(cid, 0)
-            if inc:
-                before, at_fill = direct[cid]
-                direct[cid] = (before, at_fill + inc)
+            else:
+                direct[cid] = (seen[0], after)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -119,7 +119,12 @@ class NetworkManager:
         #: When False, events skip the water-fill (bulk setup runs one
         #: global redistribution at the end instead — see the simulator).
         self.auto_redistribute = True
-        #: Parity flag for the array core's micro-epoch API (no-op here).
+        #: When False, events leave ``EventImpact.direct`` /
+        #: ``indirect_changed`` empty: callers that read only the
+        #: decision (``accepted`` / ``conn_id`` / ``activated`` /
+        #: ``dropped``) skip the cost of the level trajectories.  State,
+        #: statistics and every other impact field are unaffected.
+        self.record_trajectories = True
         self._epoch_active = False
 
     # ------------------------------------------------------------------
@@ -171,27 +176,20 @@ class NetworkManager:
         return hist
 
     # ------------------------------------------------------------------
-    # micro-epoch batching (parity API; sequential core never defers)
+    # micro-epoch bracket
     # ------------------------------------------------------------------
     def begin_micro_epoch(self) -> None:
-        """Accept the array core's micro-epoch protocol as a no-op.
+        """Open the bracket one ``ServiceEngine.apply_batch`` runs inside.
 
-        Micro-epoch batching is an internal execution strategy of the
-        array core whose observable trajectory is bitwise identical to
-        sequential per-event fills (twin-manager suite), so the
-        reference core implements the same API without deferring
-        anything — callers can drive either core through one code path.
+        Purely a marker: every event fills when it happens, so state
+        and impacts inside a bracket are the sequential ones.
         """
         if self._epoch_active:
             raise SimulationError("micro-epoch already open")
         self._epoch_active = True
 
-    def flush_micro_epoch(self) -> Dict[int, int]:
-        """Parity no-op: nothing is ever deferred on this core."""
-        return {}
-
     def end_micro_epoch(self) -> Dict[int, int]:
-        """Close the (no-op) epoch opened by :meth:`begin_micro_epoch`."""
+        """Close the bracket; nothing is ever pending, so ``{}``."""
         self._epoch_active = False
         return {}
 
@@ -237,12 +235,13 @@ class NetworkManager:
 
         # Reclaim: every directly-chained channel drops to its minimum.
         affected: Set[LinkId] = set(primary_links)
-        direct_ids = candidate_ids(self.channels_on_link, primary_links)
-        for cid in sorted(direct_ids):
+        record = self.record_trajectories
+        for cid in sorted(candidate_ids(self.channels_on_link, primary_links)):
             chan = self.connections[cid]
             before, freed = drop_to_minimum(self.state, chan)
             affected.update(freed)
-            impact.direct[cid] = (before, 0)
+            if record:
+                impact.direct[cid] = (before, 0)
 
         self.state.reserve_primary_path(conn_id, primary_links, b_min)
 
@@ -255,7 +254,7 @@ class NetworkManager:
                 # The primary's own reservation consumed the headroom the
                 # backup needed (only possible with overlapping routes).
                 self.state.release_primary_path(conn_id, primary_links)
-                self._redistribute(affected, impact, direct_ids)
+                self._redistribute(affected, impact)
                 self.stats.rejected_no_backup += 1
                 impact.accepted = False
                 return None, impact
@@ -280,7 +279,7 @@ class NetworkManager:
             for lid in backup_links:
                 self.backups_on_link[lid].add(conn_id)
 
-        self._redistribute(affected, impact, direct_ids)
+        self._redistribute(affected, impact)
         self.stats.accepted += 1
         return conn, impact
 
@@ -419,11 +418,7 @@ class NetworkManager:
         affected: Set[LinkId] = set()
 
         if conn.state is ConnectionState.ACTIVE:
-            direct_ids = candidate_ids(self.channels_on_link, conn.primary_links)
-            direct_ids.discard(conn_id)
-            for cid in sorted(direct_ids):
-                level = self.connections[cid].level
-                impact.direct[cid] = (level, level)
+            self._record_direct_levels(conn.primary_links, impact, skip=conn_id)
             for lid in conn.primary_links:
                 self.channels_on_link[lid].discard(conn_id)
             self.state.release_primary_path(conn_id, conn.primary_links)
@@ -435,10 +430,7 @@ class NetworkManager:
                     self.backups_on_link[lid].discard(conn_id)
         elif conn.state is ConnectionState.FAILED_OVER:
             assert conn.backup_links is not None
-            direct_ids = candidate_ids(self.channels_on_link, conn.backup_links)
-            for cid in sorted(direct_ids):
-                level = self.connections[cid].level
-                impact.direct[cid] = (level, level)
+            self._record_direct_levels(conn.backup_links, impact, skip=conn_id)
             self.state.release_activated_path(conn_id, conn.backup_links)
             for lid in conn.backup_links:
                 self.active_backups_on_link[lid].discard(conn_id)
@@ -447,9 +439,21 @@ class NetworkManager:
             raise ReservationError(f"connection {conn_id} is not live ({conn.state})")
 
         conn.state = ConnectionState.TERMINATED
-        self._redistribute(affected, impact, direct_ids)
+        self._redistribute(affected, impact)
         self.stats.terminated += 1
         return impact
+
+    def _record_direct_levels(
+        self, links: List[LinkId], impact: EventImpact, skip: int
+    ) -> None:
+        """Record the pre-event level of every directly-chained channel."""
+        if not self.record_trajectories:
+            return
+        direct_ids = candidate_ids(self.channels_on_link, links)
+        direct_ids.discard(skip)
+        for cid in sorted(direct_ids):
+            level = self.connections[cid].level
+            impact.direct[cid] = (level, level)
 
     # ------------------------------------------------------------------
     # failures
@@ -540,6 +544,7 @@ class NetworkManager:
             self.stats.link_failures += 1
         impact.failed_links = list(lids)
         affected: Set[LinkId] = set()
+        record = self.record_trajectories
 
         primary_victim_set: Set[int] = set()
         inactive_victim_set: Set[int] = set()
@@ -586,7 +591,8 @@ class NetworkManager:
         # Primaries through the failed link: release, then try failover.
         for cid in primary_victims:
             conn = self.connections[cid]
-            before_level = conn.level
+            if record:
+                impact.direct[cid] = (conn.level, 0)
             for plid in conn.primary_links:
                 self.channels_on_link[plid].discard(cid)
             self.state.release_primary_path(cid, conn.primary_links)
@@ -594,7 +600,6 @@ class NetworkManager:
             affected.update(
                 plid for plid in conn.primary_links if not self.state.is_failed(plid)
             )
-            impact.direct[cid] = (before_level, 0)
 
             had_backup = conn.backup_links is not None
             usable_backup = (
@@ -623,8 +628,8 @@ class NetworkManager:
                         chan = self.connections[other]
                         prev, freed = drop_to_minimum(self.state, chan)
                         affected.update(freed)
-                        if other not in impact.direct:
-                            impact.direct[other] = (prev, 0)
+                        if record:
+                            impact.direct.setdefault(other, (prev, 0))
                 self.state.activate_backup_path(cid, conn.backup_links)
                 for blid in conn.backup_links:
                     self.backups_on_link[blid].discard(cid)
@@ -648,8 +653,7 @@ class NetworkManager:
                     # hit by an activation fault.
                     self.stats.double_failure_drops += 1
 
-        direct_ids = set(impact.direct)
-        self._redistribute(affected, impact, direct_ids)
+        self._redistribute(affected, impact)
         return impact
 
     def repair_link(self, lid: LinkId) -> EventImpact:
@@ -703,28 +707,22 @@ class NetworkManager:
         }
         return redistribute(self.state, self.connections, candidates, self.policy)
 
-    def _redistribute(
-        self, affected: Set[LinkId], impact: EventImpact, direct_ids: Set[int]
-    ) -> None:
+    def _redistribute(self, affected: Set[LinkId], impact: EventImpact) -> None:
         """Water-fill the affected links and fold the result into ``impact``."""
-        if not affected or not self.auto_redistribute:
-            self._finalize_direct(impact, direct_ids)
-            return
-        cands = candidate_ids(self.channels_on_link, affected)
-        granted = redistribute(self.state, self.connections, cands, self.policy)
-        for cid, inc in granted.items():
-            if cid not in direct_ids and cid in self.connections:
-                after = self.connections[cid].level
-                impact.indirect_changed[cid] = (after - inc, after)
-        self._finalize_direct(impact, direct_ids)
-
-    def _finalize_direct(self, impact: EventImpact, direct_ids: Set[int]) -> None:
-        """Set the post-redistribution level of every direct observation."""
-        for cid in direct_ids:
+        if affected and self.auto_redistribute:
+            cands = candidate_ids(self.channels_on_link, affected)
+            granted = redistribute(self.state, self.connections, cands, self.policy)
+            if self.record_trajectories:
+                for cid, inc in granted.items():
+                    if cid not in impact.direct:
+                        after = self.connections[cid].level
+                        impact.indirect_changed[cid] = (after - inc, after)
+        # Post-event level of every direct observation, read back from
+        # the connection itself.
+        for cid, (before, _) in impact.direct.items():
             conn = self.connections.get(cid)
             if conn is None:
                 continue  # dropped during a failure event: censored
-            before, _ = impact.direct[cid]
             impact.direct[cid] = (before, conn.level)
 
     def check_invariants(self) -> None:

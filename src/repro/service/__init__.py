@@ -2,8 +2,8 @@
 
 The paper's manager is used *prescriptively* here: a long-running
 asyncio service accepts live establish/teardown/failure/repair requests
-over a JSON-per-line socket protocol, batches them into the array
-core's deterministic micro-epochs, and answers admission decisions —
+over a JSON-per-line socket protocol, batches them into epochs (one
+write-ahead fsync per batch), and answers admission decisions —
 with the robustness shell a real deployment needs:
 
 * **backpressure** — a bounded request queue with utility-aware load

@@ -4,8 +4,9 @@
 recovery share.  It owns one manager (either core, array by default),
 assigns the global event sequence, validates requests *before* they
 reach the write-ahead log (so the log only ever contains events that
-apply deterministically), applies them — batched into the array core's
-micro-epochs — and shapes responses.
+apply deterministically), applies them a batch at a time — one WAL
+append + fsync per batch, each event filling as it happens — and
+shapes responses.
 
 Determinism contract (what makes `kill -9` recovery bitwise-exact):
 
@@ -17,9 +18,10 @@ Determinism contract (what makes `kill -9` recovery bitwise-exact):
   be *rejected* by admission control — a rejection is itself a
   deterministic outcome and is logged, so replay reproduces the
   rejected sequence numbers too).
-* Micro-epoch batching is bitwise-identical to sequential application
-  (PR 7's twin proofs), so recovery may replay a log sequentially and
-  land on the same state the batched live run reached.
+* A batch is applied event by event in log order, so the state after
+  it is the sequential state by construction: recovery replays a log
+  one event at a time and lands on the state the batched live run
+  reached, whatever the live batch boundaries were.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ class EngineConfig:
     """Engine construction knobs.
 
     Attributes:
-        core: Manager core (``array``/``object``); array is the service
-            default because micro-epoch batching lives there.
-        batch_max: Largest batch one micro-epoch may absorb; the server
-            drains at most this many queued requests per epoch.
+        core: Manager core (``array``/``object``).
+        batch_max: Largest batch one epoch (one WAL append + fsync) may
+            absorb; the server drains at most this many queued requests
+            per epoch.
         manager_kwargs: Forwarded to :func:`~repro.channels.make_manager`
             (``policy``, ``routing``, ...); recorded in the WAL header
             so recovery rebuilds the same manager.
@@ -89,6 +91,9 @@ class ServiceEngine:
         self.manager = make_manager(
             self.net, core=self.config.core, **self.config.manager_kwargs
         )
+        # Responses are shaped from accepted / conn_id / activated /
+        # dropped alone; nothing here reads level trajectories.
+        self.manager.record_trajectories = False
         self.wal = wal
         #: Next event sequence number (== number of events ever applied).
         self.seq = 0
@@ -163,13 +168,13 @@ class ServiceEngine:
         batch: List[Request],
         journal: Optional[List[Tuple[int, Request]]] = None,
     ) -> List[Dict[str, Any]]:
-        """Validate, durably log, then epoch-apply one batch of mutations.
+        """Validate, durably log, then apply one batch of mutations.
 
         Returns one response envelope per request, in order.  Requests
         failing validation are answered with an error and *not* logged;
         the rest are logged write-ahead (single fsync for the whole
-        batch), applied inside one micro-epoch, and answered from their
-        impact records.
+        batch), applied in order inside one micro-epoch bracket, and
+        answered from their impact records.
 
         With ``journal`` set (degraded mode), the WAL is not touched:
         the batch's ``(seq, request)`` pairs are appended to the journal
@@ -291,5 +296,8 @@ class ServiceEngine:
         return manager_state_digest(self.manager)
 
     def close(self) -> None:
+        """Close the WAL and drop the route memo; state stays readable."""
         if self.wal is not None:
             self.wal.close()
+        if self.manager.route_cache is not None:
+            self.manager.route_cache.clear()

@@ -1,8 +1,10 @@
 """Load-generator client for the admission service (``repro loadgen``).
 
-Drives a live service with an open-loop mix of establish/teardown/
-fail/repair requests from ``concurrency`` pipelined connections,
-honouring backpressure: a shed response triggers jittered exponential
+Drives a live service with a closed-loop mix of establish/teardown/
+fail/repair requests from ``concurrency`` connections — each sends its
+next request only after the previous reply arrived, so a slow service
+receives less load and at most ``concurrency`` requests are ever in
+flight — honouring backpressure: a shed response triggers jittered exponential
 backoff seeded by the server's ``retry_after`` hint, so a saturated
 service sheds load instead of melting, and the generator keeps total
 request count honest by retrying the shed request until admitted or
@@ -110,7 +112,7 @@ class LoadgenReport:
 
 
 class _Client:
-    """One pipelined connection worth of load."""
+    """One connection worth of load (one request in flight at a time)."""
 
     def __init__(
         self,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import QoSSpecError
@@ -92,19 +93,33 @@ def qos_from_dict(data: Dict[str, Any]) -> ConnectionQoS:
     if not isinstance(data, dict):
         raise ProtocolError(f"qos must be an object, got {type(data).__name__}")
     try:
-        perf = ElasticQoS(
-            b_min=float(data["b_min"]),
-            b_max=float(data["b_max"]),
-            increment=float(data["increment"]),
-            utility=float(data.get("utility", 1.0)),
-        )
-        dep = DependabilityQoS(
-            num_backups=int(data.get("backups", 1)),
-            require_link_disjoint=bool(data.get("require_link_disjoint", False)),
+        return _contract(
+            float(data["b_min"]),
+            float(data["b_max"]),
+            float(data["increment"]),
+            float(data.get("utility", 1.0)),
+            int(data.get("backups", 1)),
+            bool(data.get("require_link_disjoint", False)),
         )
     except (KeyError, TypeError, ValueError, QoSSpecError) as exc:
         raise ProtocolError(f"invalid qos: {exc}") from exc
-    return ConnectionQoS(performance=perf, dependability=dep)
+
+
+@lru_cache(maxsize=256)
+def _contract(
+    b_min: float, b_max: float, increment: float, utility: float,
+    backups: int, link_disjoint: bool,
+) -> ConnectionQoS:
+    """One shared (frozen) contract per distinct wire form: clients send
+    a handful of them, and every live connection keeps its contract."""
+    return ConnectionQoS(
+        performance=ElasticQoS(
+            b_min=b_min, b_max=b_max, increment=increment, utility=utility
+        ),
+        dependability=DependabilityQoS(
+            num_backups=backups, require_link_disjoint=link_disjoint
+        ),
+    )
 
 
 # ----------------------------------------------------------------------

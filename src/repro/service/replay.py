@@ -5,9 +5,9 @@ contract of :class:`~repro.service.engine.ServiceEngine` means any live
 run is also an offline batch campaign:
 
 * :func:`replay_log` rebuilds a fresh engine and applies every durable
-  event sequentially — bitwise-identical to the live run's batched
-  application (PR 7's micro-epoch equivalence), so the resulting
-  digest *is* the live service's state digest.
+  event in log order — exactly what the live run did inside its
+  batches, so the resulting digest *is* the live service's state
+  digest.
 * :func:`recover_engine` is what a restarted service calls: replay the
   log, then re-attach an append-mode WAL writer and continue the
   sequence numbering where the durable history ends.  Events that were
@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.parallel.checkpoint import atomic_write_text
 from repro.service.chaos import DiskFaultPlan
@@ -45,7 +45,8 @@ class ReplayResult:
     """Outcome of replaying one log into a fresh engine.
 
     Attributes:
-        engine: The rebuilt engine (no WAL attached).
+        engine: The rebuilt engine, closed (no WAL attached, route memo
+            dropped); its state stays readable.
         events_applied: Number of durable events replayed.
         accepted: How many of the replayed establish events were
             admitted (sanity signal for campaign conversion).
@@ -71,10 +72,32 @@ def _engine_config(reader: ReplayLogReader, batch_max: int = 64) -> EngineConfig
 def replay_log(path: Union[str, Path]) -> ReplayResult:
     """Rebuild the manager state a log describes, from nothing.
 
-    Applies events one per micro-epoch (i.e. effectively sequentially);
-    bitwise-identical to the live run's batched application.
+    Applies events one per epoch; batch boundaries carry no state, so
+    this is bitwise-identical to the live run's batched application.
+    The result is a state at rest, to be audited rather than served:
+    its engine is closed, i.e. the route memo the replay warmed (two
+    thirds of the engine's memory) is dropped — before the digest is
+    taken, whose rendering is as large as the state — so a replay peaks
+    at the end of its event loop and a held result costs the state
+    alone.  :func:`recover_engine`, which goes on serving, keeps the
+    memo.
     """
     reader = ReplayLogReader(path)
+    engine, events, accepted = _apply_log(reader)
+    engine.close()
+    return ReplayResult(
+        engine=engine,
+        events_applied=events,
+        accepted=accepted,
+        clean_shutdown=reader.clean_shutdown,
+        torn_tail=reader.torn_tail,
+        digest=engine.digest(),
+    )
+
+
+def _apply_log(reader: ReplayLogReader) -> Tuple[ServiceEngine, int, int]:
+    """A fresh engine with every durable event of ``reader`` applied;
+    returns it with the event and accepted-establish counts."""
     engine = ServiceEngine(reader.topology, _engine_config(reader), wal=None)
     events = 0
     accepted = 0
@@ -84,14 +107,7 @@ def replay_log(path: Union[str, Path]) -> ReplayResult:
         events += 1
         if request.op == "establish" and response.get("result", {}).get("accepted"):
             accepted += 1
-    return ReplayResult(
-        engine=engine,
-        events_applied=events,
-        accepted=accepted,
-        clean_shutdown=reader.clean_shutdown,
-        torn_tail=reader.torn_tail,
-        digest=engine.digest(),
-    )
+    return engine, events, accepted
 
 
 def recover_engine(
@@ -113,8 +129,7 @@ def recover_engine(
         # when it opens the file, so this is the one sanctioned truncate
         # outside the WAL layer.
         os.truncate(path, reader.valid_bytes)  # repro-lint: disable=DUR003 — recovery-time tear removal; ReplayLogWriter re-verifies the tail on open
-    result = replay_log(path)
-    engine = result.engine
+    engine, _, _ = _apply_log(reader)
     if batch_max is not None:
         engine.config = EngineConfig(
             core=engine.config.core,

@@ -8,11 +8,13 @@ Single event loop, three layers:
   enqueue mutations with a per-request future;
 * **the batcher task** drains up to ``batch_max`` queued requests,
   expires the ones already past their deadline, hands the rest to
-  :meth:`ServiceEngine.apply_batch` (write-ahead log fsync, then one
-  micro-epoch), resolves the futures and records decision latency;
+  :meth:`ServiceEngine.apply_batch` (write-ahead log fsync, then the
+  batch's events in order), resolves the futures and records decision
+  latency;
 * **lifecycle**: SIGTERM/SIGINT set the draining flag — the listener
-  closes, queued work finishes, a shutdown marker lands in the WAL —
-  and readiness flips to "draining" so probes see it.
+  closes, queued work finishes, a shutdown marker lands in the WAL,
+  still-attached clients are disconnected — and readiness flips to
+  "draining" so probes see it.
 
 **Degraded read-only mode.**  A WAL append/fsync failure
 (:class:`~repro.service.wal.WALWriteError` — injected by chaos or a
@@ -164,6 +166,8 @@ class AdmissionService:
         self._batcher: Optional[asyncio.Task] = None
         self._draining = False
         self._drained = asyncio.Event()
+        #: Running connection handlers and the socket each one owns.
+        self._clients: Dict["asyncio.Task[None]", asyncio.StreamWriter] = {}
         self.recovered = False
         #: WAL health state machine: healthy -> degraded -> probation -> healthy.
         self.mode = "healthy"
@@ -228,13 +232,29 @@ class AdmissionService:
         loop.call_soon(self._queue.put_nowait, _DRAIN_SENTINEL)
 
     async def drained(self) -> None:
-        """Wait until the drain (started via :meth:`initiate_drain`) ends."""
+        """Wait until the drain (started via :meth:`initiate_drain`) ends
+        and the clients still attached have been disconnected.
+
+        A handler left parked in ``readline()`` would be cancelled when
+        the loop is torn down, which asyncio's stream callback logs as a
+        ``CancelledError`` traceback.  Closing its socket makes the read
+        return EOF so the handler exits on its own.  Replies to the last
+        epoch are already written by then: their futures were resolved
+        before the drained event was set and the loop wakes tasks in
+        that order; ``close()`` flushes what is still buffered.
+        """
         await self._drained.wait()
+        for writer in self._clients.values():
+            writer.close()
+        if self._clients:
+            # Bounded: a peer that never reads its replies must not be
+            # able to hold the shutdown hostage.
+            await asyncio.wait(list(self._clients), timeout=_CLIENT_EXIT_GRACE_S)
 
     async def run_until_drained(self, install_signals: bool = True) -> None:
         """Convenience: start, then serve until drained (CLI entry)."""
         await self.start(install_signals=install_signals)
-        await self._drained.wait()
+        await self.drained()
         if self._server is not None:
             await self._server.wait_closed()
 
@@ -250,6 +270,9 @@ class AdmissionService:
         # than the stream limit (readline raises ValueError wrapping
         # LimitOverrunError).  All of it ends this one connection;
         # none of it may escape to the loop or touch the batcher.
+        task = asyncio.current_task()
+        assert task is not None
+        self._clients[task] = writer
         try:
             while True:
                 line = await reader.readline()
@@ -261,6 +284,7 @@ class AdmissionService:
         except (OSError, ValueError, asyncio.LimitOverrunError, asyncio.IncompleteReadError):
             pass
         finally:
+            del self._clients[task]
             try:
                 writer.close()
             except OSError:
@@ -562,6 +586,10 @@ class AdmissionService:
             "latency": self.latency.summary(),
         }
 
+
+#: How long :meth:`AdmissionService.drained` waits for disconnected
+#: clients' handlers to exit.
+_CLIENT_EXIT_GRACE_S = 1.0
 
 #: Queue sentinel used to wake the batcher during drain.
 _DRAIN_SENTINEL: Any = _Pending(

@@ -15,9 +15,8 @@ One JSON object per line, four record types:
 ``epoch``     Epoch barrier after a batch was applied; ``seq_end`` is
               the last applied sequence number.  Informational — it
               lets tooling see the live batching — but recovery does
-              not need it: micro-epoch batching is bitwise-identical
-              to sequential application, so replay just applies every
-              durable event in order.
+              not need it: a batch is applied event by event, so
+              replay just applies every durable event in order.
 ``shutdown``  Clean-drain marker; its absence means the previous run
               crashed (recovery works either way).
 
@@ -425,6 +424,7 @@ class ReplayLogReader:
         core: Manager core name from the header.
         clean_shutdown: Whether a ``shutdown`` marker closed the log.
         torn_tail: Whether a torn final record was discarded.
+        last_seq: Highest durable event sequence number (-1 when empty).
         valid_bytes: Length of the durable prefix (everything up to and
             including the last valid newline-terminated record); a
             recovering writer truncates the file here before appending.
@@ -442,32 +442,44 @@ class ReplayLogReader:
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        raw = self.path.read_bytes()
-        records: List[Dict[str, Any]] = []
-        lines = raw.split(b"\n")
-        # A well-formed log ends with "\n", leaving one empty trailing
-        # chunk; anything else in the last slot is a torn tail.
-        tail = lines.pop() if lines else b""
-        self.torn_tail = bool(tail)
-        self.valid_bytes = len(raw) - len(tail)
-        for index, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                record = decode_record(line)
-            except WALRecordError as exc:
-                if index == len(lines) - 1:
-                    self.torn_tail = True
-                    self.valid_bytes -= len(line) + 1
+        self.torn_tail = False
+        self.valid_bytes = 0
+        self.clean_shutdown = False
+        self.last_seq = -1
+        # Every record is decoded and CRC-verified here, once, streaming;
+        # only the raw event lines and a few scalars outlive the scan, so
+        # an open reader costs about the file size, not a dict per record.
+        self._event_lines: List[bytes] = []
+        self._epoch_ends: List[int] = []
+        first: Optional[Dict[str, Any]] = None
+        undecodable: Optional[Tuple[int, WALRecordError]] = None
+        with open(self.path, "rb") as fh:
+            for index, line in enumerate(fh):
+                if not line.endswith(b"\n"):
+                    self.torn_tail = True  # unterminated: necessarily the last chunk
                     break
-                raise SimulationError(
-                    f"corrupt replay log {self.path}: undecodable record "
-                    f"{index + 1} is not the final line ({exc})"
-                ) from exc
-            records.append(record)
-        if not records or records[0].get("type") != "header":
+                if undecodable is not None:
+                    bad_index, cause = undecodable
+                    raise SimulationError(
+                        f"corrupt replay log {self.path}: undecodable record "
+                        f"{bad_index + 1} is not the final line ({cause})"
+                    ) from cause
+                if len(line) > 1:
+                    try:
+                        record = decode_record(line[:-1])
+                    except WALRecordError as exc:
+                        undecodable = (index, exc)
+                        continue
+                    if first is None:
+                        first = record
+                    else:
+                        self._keep(record, line)
+                self.valid_bytes += len(line)
+        if undecodable is not None:
+            self.torn_tail = True
+        if first is None or first.get("type") != "header":
             raise SimulationError(f"replay log {self.path} has no header record")
-        self.header = records[0]
+        self.header = first
         if self.header.get("version") != WAL_VERSION:
             raise SimulationError(
                 f"replay log {self.path} has unsupported version "
@@ -476,21 +488,24 @@ class ReplayLogReader:
         self.topology = topology_from_dict(self.header["topology"])
         self.manager_kwargs = dict(self.header.get("manager", {}))
         self.core = str(self.header.get("core", "array"))
-        self._records = records[1:]
-        self.clean_shutdown = any(r.get("type") == "shutdown" for r in self._records)
+
+    def _keep(self, record: Dict[str, Any], line: bytes) -> None:
+        """Retain what one verified post-header record contributes."""
+        kind = record.get("type")
+        if kind == "event":
+            self._event_lines.append(line)
+            self.last_seq = max(self.last_seq, int(record["seq"]))
+        elif kind == "epoch":
+            self._epoch_ends.append(int(record["seq_end"]))
+        elif kind == "shutdown":
+            self.clean_shutdown = True
 
     def events(self) -> Iterator[Tuple[int, Request]]:
         """Yield every durable ``(seq, request)`` in log order."""
-        for record in self._records:
-            if record.get("type") == "event":
-                yield int(record["seq"]), request_from_record(record)
+        for line in self._event_lines:
+            record = json.loads(line)  # CRC-verified at open
+            yield int(record["seq"]), request_from_record(record)
 
     def epoch_ends(self) -> List[int]:
         """``seq_end`` of every epoch barrier, in log order."""
-        return [int(r["seq_end"]) for r in self._records if r.get("type") == "epoch"]
-
-    @property
-    def last_seq(self) -> int:
-        """Highest durable event sequence number (-1 when empty)."""
-        seqs = [int(r["seq"]) for r in self._records if r.get("type") == "event"]
-        return max(seqs) if seqs else -1
+        return list(self._epoch_ends)

@@ -81,14 +81,6 @@ class SimulationConfig:
         audit: Optional structured audit policy (periodic and/or
             after-every-failure invariant checks raising
             :class:`~repro.errors.AuditError` with an event tail).
-        micro_epochs: Batch warm-up churn events whose conflict
-            neighbourhoods are link-disjoint into shared deferred
-            water-fills (micro-epochs, array core).  Observable results
-            are bitwise identical to the sequential trajectory (the
-            twin-manager suite proves it); batching is automatically
-            confined to the warm-up phase and disabled when tracing or
-            auditing is on, because those read per-event level
-            trajectories.  The object core accepts the flag as a no-op.
     """
 
     qos: ConnectionQoS
@@ -106,7 +98,6 @@ class SimulationConfig:
     record_trace: bool = False
     faults: Optional[FaultConfig] = None
     audit: Optional[AuditPolicy] = None
-    micro_epochs: bool = False
 
     def __post_init__(self) -> None:
         if self.offered_connections < 0:
@@ -180,6 +171,7 @@ class ElasticQoSSimulator:
         cfg = self.config
         manager = self.manager
         manager.auto_redistribute = False
+        manager.record_trajectories = False  # set-up impacts are discarded
         try:
             if cfg.setup_mode == "offered":
                 for _ in range(cfg.offered_connections):
@@ -199,6 +191,7 @@ class ElasticQoSSimulator:
                     )
         finally:
             manager.auto_redistribute = True
+            manager.record_trajectories = True
         manager.redistribute_all()
         return manager.num_live
 
@@ -235,18 +228,10 @@ class ElasticQoSSimulator:
         next_is_arrival = True
         measuring = False
         state = manager.state
-        # Micro-epoch batching: during warm-up nothing reads level
-        # trajectories, so link-disjoint churn events may share one
-        # deferred water-fill.  The epoch closes before the first
-        # measured sample, restoring the sequential state bit for bit.
-        batching = (
-            cfg.micro_epochs
-            and cfg.warmup_events > 0
-            and trace is None
-            and auditor is None
-        )
-        if batching:
-            manager.begin_micro_epoch()
+        # Only the estimator (while measuring), the trace and the audit
+        # trail read level trajectories; warm-up with neither attached
+        # skips building them.
+        manager.record_trajectories = trace is not None or auditor is not None
 
         for event_index in range(total_events):
             # The injector owns the failure/repair rates; the default
@@ -265,10 +250,8 @@ class ElasticQoSSimulator:
             manager.now = now
 
             if not measuring and event_index >= cfg.warmup_events:
-                if batching:
-                    manager.end_micro_epoch()
-                    batching = False
                 measuring = True
+                manager.record_trajectories = True
                 measurement.begin(now, manager.average_live_bandwidth(), manager.num_live)
             if measuring:
                 hist = (

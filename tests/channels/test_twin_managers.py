@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.channels import ArrayNetworkManager, NetworkManager, make_manager
+from repro.channels.digest import manager_state_digest
 from repro.elastic.policies import EqualShare, MaxUtility, UtilityProportional
 from repro.faults.injectors import FaultConfig, build_injector
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
@@ -222,74 +223,86 @@ class TestTwinCampaigns:
         TwinDriver(16, route_cache_probe=0).run(150, faults=True)
 
 
+INJECTOR_CONFIGS = {
+    "node": FaultConfig(mode="node"),
+    "burst": FaultConfig(mode="burst", burst_size=3, burst_kernel="shared-node"),
+    "markov": FaultConfig(mode="markov", rate_spread=1.0, rate_seed=5),
+}
+
+
+def _drive_injected(mo, ma, mode: str, same_impact, steps: int = 200, seed: int = 303):
+    """Drive two managers on one grid through churn + injector-drawn faults.
+
+    ``same_impact(io, ia)`` judges each pair of impacts; full state is
+    compared every 23 steps and at the end.
+    """
+    net = mo.topology
+    wl_config = WorkloadConfig(
+        arrival_rate=1.0,
+        termination_rate=1.0,
+        link_failure_rate=0.1,
+        repair_rate=1.0,
+    )
+    qos_rng = random.Random(1000 + hash(mode) % 1000)
+
+    def factory(_index: int) -> ConnectionQoS:
+        return _make_qos(qos_rng)
+
+    # Two injector stacks with identically seeded RNGs: since the
+    # managers expose identical alive/failed lists at every step, both
+    # stacks draw the same victims.
+    stacks = []
+    for manager in (mo, ma):
+        workload = Workload(net, factory, wl_config, np.random.default_rng(77))
+        stacks.append((manager, build_injector(INJECTOR_CONFIGS[mode], net, workload)))
+    rng = random.Random(seed)
+    live: list[int] = []
+    for step in range(steps):
+        r = rng.random()
+        if r < 0.45 or not live:
+            s, d = rng.sample(net.nodes(), 2)
+            qos = _make_qos(rng)
+            co, io_ = mo.request_connection(s, d, qos)
+            ca, ia = ma.request_connection(s, d, qos)
+            same_impact(io_, ia)
+            if co is not None:
+                live.append(co.conn_id)
+        elif r < 0.75:
+            cid = live.pop(rng.randrange(len(live)))
+            if cid in mo.connections:
+                same_impact(mo.terminate_connection(cid), ma.terminate_connection(cid))
+        elif r < 0.88:
+            if mo.state.num_alive <= net.num_links // 2:
+                continue
+            impacts = [inj.inject_failure(m) for m, inj in stacks]
+            assert (impacts[0] is None) == (impacts[1] is None)
+            if impacts[0] is not None:
+                same_impact(impacts[0], impacts[1])
+        else:
+            impacts = [inj.inject_repair(m) for m, inj in stacks]
+            assert (impacts[0] is None) == (impacts[1] is None)
+        if step % 23 == 0:
+            mo.check_invariants()
+            ma.check_invariants()
+            _assert_equal_state(mo, ma, f"{mode} step {step}")
+    mo.check_invariants()
+    ma.check_invariants()
+    _assert_equal_state(mo, ma, f"{mode} final")
+
+
+def _assert_same_impact(io_, ia) -> None:
+    assert _impact_key(io_) == _impact_key(ia)
+
+
 class TestTwinUnderInjectors:
     """Both cores driven by each fault injector from repro.faults."""
 
-    CONFIGS = {
-        "node": FaultConfig(mode="node"),
-        "burst": FaultConfig(mode="burst", burst_size=3, burst_kernel="shared-node"),
-        "markov": FaultConfig(mode="markov", rate_spread=1.0, rate_seed=5),
-    }
-
-    @pytest.mark.parametrize("mode", sorted(CONFIGS))
+    @pytest.mark.parametrize("mode", sorted(INJECTOR_CONFIGS))
     def test_injected_faults_equivalent(self, mode):
-        config = self.CONFIGS[mode]
         net = grid_network(4, 4, capacity=1000.0)
         mo = make_manager(net, core="object")
         ma = make_manager(net, core="array")
-        wl_config = WorkloadConfig(
-            arrival_rate=1.0,
-            termination_rate=1.0,
-            link_failure_rate=0.1,
-            repair_rate=1.0,
-        )
-        qos_rng = random.Random(1000 + hash(mode) % 1000)
-
-        def factory(_index: int) -> ConnectionQoS:
-            return _make_qos(qos_rng)
-
-        # Two injector stacks with identically seeded RNGs: since the
-        # cores expose identical alive/failed lists at every step, both
-        # stacks draw the same victims.
-        stacks = []
-        for manager in (mo, ma):
-            workload = Workload(net, factory, wl_config, np.random.default_rng(77))
-            stacks.append((manager, build_injector(config, net, workload)))
-        rng = random.Random(303)
-        live: list[int] = []
-        for step in range(200):
-            r = rng.random()
-            if r < 0.45 or not live:
-                s, d = rng.sample(net.nodes(), 2)
-                qos = _make_qos(rng)
-                co, io_ = mo.request_connection(s, d, qos)
-                ca, ia = ma.request_connection(s, d, qos)
-                assert _impact_key(io_) == _impact_key(ia)
-                if co is not None:
-                    live.append(co.conn_id)
-            elif r < 0.75:
-                cid = live.pop(rng.randrange(len(live)))
-                if cid in mo.connections:
-                    io_ = mo.terminate_connection(cid)
-                    ia = ma.terminate_connection(cid)
-                    assert _impact_key(io_) == _impact_key(ia)
-            elif r < 0.88:
-                if mo.state.num_alive <= net.num_links // 2:
-                    continue
-                impacts = [inj.inject_failure(m) for m, inj in stacks]
-                assert (impacts[0] is None) == (impacts[1] is None)
-                if impacts[0] is not None:
-                    assert _impact_key(impacts[0]) == _impact_key(impacts[1])
-            else:
-                impacts = [inj.inject_repair(m) for m, inj in stacks]
-                assert (impacts[0] is None) == (impacts[1] is None)
-            if step % 23 == 0:
-                mo.check_invariants()
-                ma.check_invariants()
-                _assert_equal_state(mo, ma, f"{mode} step {step}")
-        mo.check_invariants()
-        ma.check_invariants()
-        _assert_equal_state(mo, ma, f"{mode} final")
+        _drive_injected(mo, ma, mode, _assert_same_impact)
         assert mo.stats.link_failures > 0
 
 
@@ -315,71 +328,26 @@ class TestTwinProperty:
 
 
 class EpochTwinDriver(TwinDriver):
-    """Array core with micro-epoch batching vs sequential object core.
+    """Array core inside a micro-epoch bracket vs the plain object core.
 
-    With an epoch open the array core defers fills, so per-event
-    impacts are *not* compared for churn (their level trajectories are
-    pre-fill by contract); instead full state — every connection level,
-    link float and statistic — must be bitwise equal at every flush
-    point and at the end.  Failures are epoch barriers, so their
-    impacts stay fully comparable.
+    The bracket is a marker: every event fills when it happens.  So the
+    inherited per-event impact comparisons hold unchanged, and full
+    state — every connection level, link float and statistic — must be
+    bitwise equal after *every* event, failures inside the bracket
+    included.
     """
 
     def __init__(self, seed: int, **manager_kwargs) -> None:
         super().__init__(seed, **manager_kwargs)
-        self.mo.begin_micro_epoch()
         self.ma.begin_micro_epoch()
 
-    def arrive(self) -> None:
-        s, d = self.rng.sample(self.nodes, 2)
-        qos = _make_qos(self.rng)
-        co, io_ = self.mo.request_connection(s, d, qos)
-        ca, ia = self.ma.request_connection(s, d, qos)
-        assert (co is None) == (ca is None)
-        assert io_.accepted == ia.accepted
-        if co is not None:
-            assert co.primary_path == ca.primary_path
-            assert co.backup_path == ca.backup_path
-            self.live.append(co.conn_id)
-
-    def terminate(self) -> None:
-        if not self.live:
-            return
-        cid = self.live.pop(self.rng.randrange(len(self.live)))
-        if cid not in self.mo.connections:
-            return
-        self.mo.terminate_connection(cid)
-        self.ma.terminate_connection(cid)
-
-    def run(self, events: int, faults: bool, check_every: int = 29) -> None:
-        for step in range(events):
-            r = self.rng.random()
-            if r < 0.5 or not self.live:
-                self.arrive()
-            elif r < 0.8 or not faults:
-                self.terminate()
-            elif r < 0.9:
-                self.fail()
-            else:
-                self.repair()
-            if step % check_every == 0:
-                # Books must balance even mid-epoch (columns == rows)...
-                self.ma.check_invariants()
-                # ...and flushing must land exactly on the sequential
-                # core's state.
-                self.mo.flush_micro_epoch()
-                self.ma.flush_micro_epoch()
-                self.mo.check_invariants()
-                _assert_equal_state(self.mo, self.ma, f"epoch step {step}")
-        self.mo.end_micro_epoch()
-        self.ma.end_micro_epoch()
-        self.mo.check_invariants()
-        self.ma.check_invariants()
-        _assert_equal_state(self.mo, self.ma, "epoch final")
+    def run(self, events: int, faults: bool, check_every: int = 1) -> None:
+        super().run(events, faults, check_every)
+        assert self.ma.end_micro_epoch() == {}
 
 
 class TestMicroEpochTwin:
-    """Micro-epoch batching reproduces the sequential trajectory."""
+    """A micro-epoch bracket changes nothing: state and impacts are sequential."""
 
     @pytest.mark.parametrize("seed", range(40, 44))
     def test_epoch_churn_only(self, seed):
@@ -393,20 +361,13 @@ class TestMicroEpochTwin:
     def test_epoch_priority_policies(self, policy_cls):
         EpochTwinDriver(49, policy=policy_cls()).run(200, faults=True)
 
-    def test_epoch_batches_something(self):
-        # The guard must not degenerate into flush-per-event: on an
-        # idle-ish grid some consecutive events are disjoint and their
-        # fills actually batch (pending affected links survive events).
+    def test_bracketed_impacts_equal_unbracketed(self):
+        # Same core on both sides, so the bracket is the only difference:
+        # impacts inside it carry post-fill levels like any other.
         driver = EpochTwinDriver(50)
-        batched = 0
-        for _ in range(120):
-            driver.arrive()
-            if driver.ma._epoch_affected:
-                batched += 1
-        assert batched > 0
-        driver.mo.end_micro_epoch()
-        driver.ma.end_micro_epoch()
-        _assert_equal_state(driver.mo, driver.ma, "batching final")
+        driver.mo = make_manager(driver.net, core="array")
+        driver.run(300, faults=True)
+        assert driver.ma.stats.link_failures > 0
 
     def test_double_begin_rejected(self):
         from repro.errors import SimulationError
@@ -420,117 +381,132 @@ class TestMicroEpochTwin:
             m.begin_micro_epoch()  # reusable after close
             assert m.end_micro_epoch() == {}
 
-    def test_flush_without_epoch_is_noop(self):
-        for core in ("object", "array"):
-            m = make_manager(grid_network(2, 2, capacity=1000.0), core=core)
-            assert m.flush_micro_epoch() == {}
-            assert m.end_micro_epoch() == {}
-
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @TWIN_SETTINGS
     def test_epoch_random_sequences(self, seed):
-        EpochTwinDriver(seed).run(60, faults=True, check_every=60)
+        EpochTwinDriver(seed).run(60, faults=True)
+
+
+def _simulate(core: str, faults=None, failure_rate: float = 0.01, seed: int = 7, **config):
+    from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
+
+    qos = ConnectionQoS(
+        performance=ElasticQoS(b_min=100.0, b_max=300.0, increment=100.0, utility=1.0),
+        dependability=DependabilityQoS(num_backups=1),
+    )
+    cfg = SimulationConfig(
+        qos=qos,
+        offered_connections=30,
+        warmup_events=150,
+        measure_events=150,
+        sample_interval=5,
+        workload=WorkloadConfig(
+            arrival_rate=1.0,
+            termination_rate=1.0,
+            link_failure_rate=failure_rate,
+            repair_rate=1.0,
+        ),
+        faults=faults,
+        core=core,
+        **config,
+    )
+    return ElasticQoSSimulator(grid_network(4, 4, capacity=1000.0), cfg, seed=seed)
+
+
+def _result_key(r):
+    return (
+        r.average_bandwidth,
+        r.level_occupancy.tolist(),
+        r.manager_stats,
+        r.initial_population,
+        r.end_time,
+    )
+
+
+def _plain(obj):
+    """A dataclass as nested plain values (arrays -> lists), for ``==``."""
+    return {
+        k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(obj).items()
+    }
 
 
 class TestMicroEpochSimulator:
-    """End-to-end: SimulationConfig(micro_epochs=True) is bitwise inert."""
+    """End-to-end: both cores produce the same simulation, bit for bit."""
 
     def test_simulator_results_bitwise_identical(self):
-        from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
-
-        net = grid_network(4, 4, capacity=1000.0)
-        qos = ConnectionQoS(
-            performance=ElasticQoS(
-                b_min=100.0, b_max=300.0, increment=100.0, utility=1.0
-            ),
-            dependability=DependabilityQoS(num_backups=1),
+        assert _result_key(_simulate("array").run()) == _result_key(
+            _simulate("object").run()
         )
-        results = {}
-        for core in ("object", "array"):
-            for epochs in (False, True):
-                cfg = SimulationConfig(
-                    qos=qos,
-                    offered_connections=30,
-                    warmup_events=150,
-                    measure_events=150,
-                    sample_interval=5,
-                    workload=WorkloadConfig(
-                        arrival_rate=1.0,
-                        termination_rate=1.0,
-                        link_failure_rate=0.01,
-                        repair_rate=1.0,
-                    ),
-                    core=core,
-                    micro_epochs=epochs,
-                )
-                r = ElasticQoSSimulator(net, cfg, seed=7).run()
-                results[(core, epochs)] = (
-                    r.average_bandwidth,
-                    r.level_occupancy.tolist(),
-                    r.manager_stats,
-                    r.initial_population,
-                    r.end_time,
-                )
-        baseline = results[("object", False)]
-        for key, value in results.items():
-            assert value == baseline, f"{key} diverged from sequential object core"
 
 
 class TestInjectorsUnderMicroEpochs:
-    """Fault injection x micro-epoch batching, full simulator loop.
+    """Fault injection through the full simulator loop, both cores.
 
-    Each PR 3 injector drives the simulator on both cores with
-    ``micro_epochs`` on and off; all four runs must be bitwise
-    identical.  This pins the interaction the per-feature twins miss:
-    injector-drawn failures landing *inside* an open epoch (the array
-    core auto-flushes around them) must not perturb the event stream.
+    Each PR 3 injector drives the simulator on the object and the array
+    core; the runs must be bitwise identical.
     """
 
-    CONFIGS = {
-        "node": FaultConfig(mode="node"),
-        "burst": FaultConfig(mode="burst", burst_size=3, burst_kernel="shared-node"),
-        "markov": FaultConfig(mode="markov", rate_spread=1.0, rate_seed=5),
-    }
-
-    @pytest.mark.parametrize("mode", sorted(CONFIGS))
+    @pytest.mark.parametrize("mode", sorted(INJECTOR_CONFIGS))
     def test_injected_simulation_bitwise_identical(self, mode):
-        from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
+        results = {
+            core: _result_key(
+                _simulate(
+                    core, faults=INJECTOR_CONFIGS[mode], failure_rate=0.05, seed=11
+                ).run()
+            )
+            for core in ("object", "array")
+        }
+        assert results["array"] == results["object"], f"{mode}: cores diverged"
+        assert results["object"][2].link_failures > 0, "injector never fired"
 
+
+class TestTrajectoryRecording:
+    """``record_trajectories = False`` empties the level trajectories of
+    an impact and changes nothing else."""
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        mode=st.sampled_from(sorted(INJECTOR_CONFIGS)),
+    )
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_off_only_empties_trajectories(self, core, seed, mode):
         net = grid_network(4, 4, capacity=1000.0)
-        qos = ConnectionQoS(
-            performance=ElasticQoS(
-                b_min=100.0, b_max=300.0, increment=100.0, utility=1.0
-            ),
-            dependability=DependabilityQoS(num_backups=1),
-        )
-        results = {}
-        for core in ("object", "array"):
-            for epochs in (False, True):
-                cfg = SimulationConfig(
-                    qos=qos,
-                    offered_connections=30,
-                    warmup_events=120,
-                    measure_events=120,
-                    sample_interval=5,
-                    workload=WorkloadConfig(
-                        arrival_rate=1.0,
-                        termination_rate=1.0,
-                        link_failure_rate=0.05,
-                        repair_rate=1.0,
-                    ),
-                    faults=self.CONFIGS[mode],
-                    core=core,
-                    micro_epochs=epochs,
-                )
-                r = ElasticQoSSimulator(net, cfg, seed=11).run()
-                results[(core, epochs)] = (
-                    r.average_bandwidth,
-                    r.level_occupancy.tolist(),
-                    r.manager_stats,
-                    r.initial_population,
-                    r.end_time,
-                )
-        baseline = results[("object", False)]
-        for key, value in results.items():
-            assert value == baseline, f"{mode}/{key} diverged from sequential object"
-        assert baseline[2].link_failures > 0, "injector never fired"
+        on = make_manager(net, core=core)
+        off = make_manager(net, core=core)
+        off.record_trajectories = False
+        recorded = 0
+
+        def same_but_trajectories(i_on, i_off) -> None:
+            nonlocal recorded
+            assert not i_off.direct and not i_off.indirect_changed
+            recorded += len(i_on.direct) + len(i_on.indirect_changed)
+            i_off.direct, i_off.indirect_changed = i_on.direct, i_on.indirect_changed
+            assert _impact_key(i_on) == _impact_key(i_off)
+
+        _drive_injected(on, off, mode, same_but_trajectories, steps=80, seed=seed)
+        assert manager_state_digest(on) == manager_state_digest(off)
+        assert recorded > 0
+
+    @pytest.mark.parametrize("core", ["array", "object"])
+    def test_simulator_skips_them_until_something_reads_them(self, core):
+        def run(**config):
+            sim = _simulate(core, **config)
+            flags = []
+            churn = sim._churn_event
+
+            def spy(next_is_arrival):
+                flags.append(sim.manager.record_trajectories)
+                return churn(next_is_arrival)
+
+            sim._churn_event = spy
+            return sim.run(), flags
+
+        lean, lean_flags = run()
+        full, full_flags = run(record_trace=True)
+        # Warm-up builds trajectories only for the trace; measuring always.
+        assert not any(lean_flags[:100]) and all(lean_flags[-100:])
+        assert all(full_flags)
+        assert _plain(lean.measurement) == _plain(full.measurement)
+        assert _plain(lean.params) == _plain(full.params)
+        assert _result_key(lean) == _result_key(full)

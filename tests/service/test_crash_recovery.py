@@ -155,3 +155,28 @@ class TestKillAndReplay:
         finally:
             proc2.send_signal(signal.SIGTERM)
             proc2.communicate(timeout=30)
+
+
+class TestSigtermWithClientsAttached:
+    def test_idle_client_does_not_dirty_the_drain(self, tmp_path):
+        """SIGTERM while a client sits idle on an open connection: the
+        handler parked in ``readline()`` must see EOF and return, not be
+        cancelled at loop teardown (asyncio logs that as a traceback)."""
+        proc, banner = _spawn_server(tmp_path / "wal.log")
+        client = _Client(banner["port"])
+        try:
+            resp = client.rpc({
+                "op": "establish", "id": 1, "src": 0, "dst": 15, "qos": QOS,
+            })
+            assert resp["ok"]
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0, err
+            assert json.loads(out.strip().splitlines()[-1])["event"] == "drained"
+            assert err == ""
+            assert client.file.readline() == b""  # the server hung up
+        finally:
+            client.close()
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)

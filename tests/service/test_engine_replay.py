@@ -125,6 +125,28 @@ class TestBatchEqualsSequential:
             digests[core] = engine.digest()
         assert digests["object"] == digests["array"]
 
+    @pytest.mark.parametrize("core", ["array", "object"])
+    def test_answers_do_not_depend_on_trajectories(self, core):
+        # The engine runs its manager without level trajectories; every
+        # response and the state must be what a recording manager gives.
+        lean = ServiceEngine(GRID, EngineConfig(core=core))
+        assert lean.manager.record_trajectories is False
+        full = ServiceEngine(GRID, EngineConfig(core=core))
+        full.manager.record_trajectories = True
+        script = _script()
+        assert _drive(lean, script, batch=8) == _drive(full, script, batch=8)
+        assert lean.digest() == full.digest()
+
+    def test_close_drops_the_route_memo_only(self):
+        engine = ServiceEngine(GRID, EngineConfig())
+        _drive(engine, batch=8)
+        digest = engine.digest()
+        assert len(engine.manager.route_cache) > 0
+        engine.close()
+        assert len(engine.manager.route_cache) == 0
+        assert engine.digest() == digest
+        engine.manager.check_invariants()
+
 
 class TestValidation:
     def test_validation_errors_not_logged(self, tmp_path):
@@ -183,6 +205,21 @@ class TestReplayAndRecovery:
         assert result.digest == digest
         assert result.events_applied == engine.seq
         assert not result.clean_shutdown and not result.torn_tail
+
+    def test_replay_result_is_at_rest_recovery_stays_warm(self, tmp_path):
+        # An offline replay is audited, not served: its route memo is
+        # dropped (a held result costs the state alone), the state stays
+        # sound.  A recovered engine goes on serving and keeps the memo.
+        path, engine, digest = self._live_run(tmp_path)
+        engine.close()
+        result = replay_log(path)
+        assert len(result.engine.manager.route_cache) == 0
+        assert result.engine.digest() == digest
+        result.engine.manager.check_invariants()
+        recovered = recover_engine(path)
+        assert len(recovered.manager.route_cache) > 0
+        assert recovered.digest() == digest
+        recovered.close()
 
     def test_recover_after_torn_tail(self, tmp_path):
         path, engine, digest = self._live_run(tmp_path)

@@ -45,6 +45,16 @@ class TestQoSRoundTrip:
         assert rebuilt.performance.utility == qos.performance.utility
         assert math.isclose(rebuilt.performance.b_max, 0.1 * 3, rel_tol=0.0)
 
+    def test_equal_wire_forms_share_one_contract(self):
+        # Every live connection holds its contract; clients send a
+        # handful of distinct ones, so equal wire forms share an object.
+        wire = qos_to_dict(_qos(utility=0.7))
+        assert qos_from_dict(dict(wire)) is qos_from_dict(dict(wire))
+        other = qos_from_dict({**wire, "utility": 0.9})
+        assert other != qos_from_dict(wire) and other.performance.utility == 0.9
+        # Same numbers, different dependability: not the same contract.
+        assert qos_from_dict({**wire, "backups": 0}).dependability.num_backups == 0
+
     def test_invalid_qos_rejected(self):
         with pytest.raises(ProtocolError, match="invalid qos"):
             qos_from_dict({"b_min": 300.0, "b_max": 100.0, "increment": 100.0})

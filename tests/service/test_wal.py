@@ -1,6 +1,7 @@
 """Replay-log durability: headers, torn tails, truncation, export."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -179,3 +180,33 @@ class TestWriterReader:
         assert reader.torn_tail
         assert reader.last_seq == 0
         assert reader.valid_bytes < durable_before
+
+
+class TestReaderMemory:
+    def test_open_reader_costs_about_the_file_size(self, tmp_path):
+        # Recovery memory must not grow with a multiple of the log: the
+        # reader verifies every record but keeps only raw event lines.
+        path = tmp_path / "wal.log"
+        total = 20_000
+        with ReplayLogWriter(path, GRID) as w:
+            for start in range(0, total, 500):
+                batch = [
+                    (i, Request(op="establish", req_id=i, src=0, dst=8, qos=_qos()))
+                    if i % 2 == 0
+                    else (i, Request(op="teardown", req_id=i, conn_id=i // 2))
+                    for i in range(start, start + 500)
+                ]
+                w.log_events(batch)
+                w.log_epoch(batch[-1][0])
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            reader = ReplayLogReader(path)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * size, (peak, size)
+        assert retained <= 1.5 * size, (retained, size)
+        assert reader.last_seq == total - 1
+        assert len(reader.epoch_ends()) == total // 500
+        assert [seq for seq, _ in reader.events()] == list(range(total))
