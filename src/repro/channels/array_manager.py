@@ -25,7 +25,17 @@ default simulation core (see ``repro.channels.make_manager``).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -235,7 +245,7 @@ class ArrayConnView:
     def __init__(self, manager: "ArrayNetworkManager", handle: int) -> None:
         self._m = manager
         self._h = handle
-        self.conn_id = int(manager.conns.conn_id[handle])
+        self.conn_id = manager.conns.cid_py[handle]
 
     @property
     def source(self) -> int:
@@ -366,8 +376,8 @@ class _LinkSetsView:
     """``channels_on_link``-shaped read view: LinkId -> set of conn ids.
 
     Internally the manager indexes by dense link index and stores
-    *handles*; this view translates both on access (estimator/test
-    compatibility — only touched on sampled events).
+    *handles*; this view translates both on access (tests, the
+    service's ``query connection`` path, diagnostics).
     """
 
     __slots__ = ("_m", "_sets")
@@ -377,8 +387,7 @@ class _LinkSetsView:
         self._sets = sets
 
     def _cids(self, li: int) -> Set[int]:
-        conn_id = self._m.conns.conn_id
-        return {int(conn_id[h]) for h in self._sets[li]}
+        return set(map(self._m.conns.cid_py.__getitem__, self._sets[li]))
 
     def get(self, lid: LinkId, default: FrozenSet[int] = frozenset()) -> Set[int] | FrozenSet[int]:
         li = self._m.links.index.get(lid)
@@ -510,6 +519,29 @@ class ArrayNetworkManager:
         """Count of ACTIVE elastic primaries at each level (bincount)."""
         return self.conns.level_histogram(num_levels)
 
+    def ids_sharing_links(self, conn_ids: Iterable[int]) -> Set[int]:
+        """Ids of ACTIVE primaries on any primary link of ``conn_ids``.
+
+        One hop of the channel-overlap relation, on handles.  Ids that
+        are no longer live are skipped; a failed-over connection still
+        contributes its former primary's links (see the object core).
+        """
+        h_of = self._h_of
+        path_py = self.conns.path_py
+        lis: Set[int] = set()
+        for cid in conn_ids:
+            h = h_of.get(cid)
+            if h is not None:
+                lis.update(path_py[h])
+        sets = self._prims_on
+        hset: Set[int] = set().union(*[sets[li] for li in lis])
+        return set(map(self.conns.cid_py.__getitem__, hset))
+
+    def levels_of(self, conn_ids: Sequence[int]) -> List[int]:
+        """Current level of each live connection in ``conn_ids``, in order."""
+        h_of = self._h_of
+        return self.conns.level[[h_of[cid] for cid in conn_ids]].tolist()
+
     # ------------------------------------------------------------------
     # establishment
     # ------------------------------------------------------------------
@@ -553,10 +585,11 @@ class ArrayNetworkManager:
         overlap = 0
         if backup_path is not None:
             if backup_plan is not None:
-                # Precompiled fully-disjoint candidate: indices and node
-                # array are ready, and overlap is zero by construction.
+                # Precompiled candidate: indices, node array and overlap
+                # are ready.
                 bk_idx = backup_plan.idx
                 bk_nodes = backup_plan.nodes
+                overlap = backup_plan.overlap
             else:
                 backup_links = self.topology.path_links(backup_path)
                 overlap = sum(1 for lid in backup_links if lid in plan.link_set)
@@ -664,9 +697,9 @@ class ArrayNetworkManager:
         Returns ``(primary plan, backup node path, backup plan)``.  The
         primary plan is the cache's shared precompiled candidate on a
         hit, or a transient plan built from the search answer otherwise.
-        The backup plan is only set when the precompiled fully-disjoint
-        candidate passed admission; search fallbacks return just the
-        node path (the caller derives links/indices/overlap as before).
+        The backup plan is only set when a precompiled candidate passed
+        admission; search fallbacks return just the node path (the
+        caller derives links/indices/overlap as before).
         """
         _check_endpoints(self.topology, source, destination)
         b_min = qos.performance.b_min
@@ -749,8 +782,9 @@ class ArrayNetworkManager:
         """Backup route for ``plan``'s primary.
 
         Returns ``(node path, backup plan)``; the plan half is only set
-        when the cache's precompiled fully-disjoint candidate passed
-        the load-dependent admission re-check.
+        when one of the cache's precompiled candidates (fully disjoint,
+        or maximally disjoint where no disjoint path exists) passed the
+        load-dependent admission re-check.
         """
         primary = plan.path
         primary_set = plan.link_set
@@ -773,6 +807,11 @@ class ArrayNetworkManager:
             if raw is None:
                 if not allow_partial:
                     return None, None
+                raw = self.route_cache.raw_partial_backup(tuple(primary), primary_set)
+                if raw is not None and t.can_admit_backup_bulk(
+                    raw.idx, b_min, conflict_set
+                ):
+                    return raw.path, raw
                 found = maximally_disjoint_path(
                     self.topology, primary[0], primary[-1], primary_set, backup_ok
                 )
@@ -1064,7 +1103,7 @@ class ArrayNetworkManager:
         if bplan is not None:
             bk_idx = bplan.idx
             bk_nodes = bplan.nodes
-            overlap = 0
+            overlap = bplan.overlap
         else:
             links_b = self.topology.path_links(path)
             bk_idx = t.indices_of(links_b)

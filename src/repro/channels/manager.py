@@ -24,7 +24,7 @@ The operational rules implemented here are exactly those of §3.1:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.channels.records import (
     ConnectionState,
@@ -174,6 +174,26 @@ class NetworkManager:
             if conn.state is ConnectionState.ACTIVE and not conn.on_backup:
                 hist[min(conn.level, num_levels - 1)] += 1
         return hist
+
+    def ids_sharing_links(self, conn_ids: Iterable[int]) -> Set[int]:
+        """Ids of ACTIVE primaries on any primary link of ``conn_ids``.
+
+        One hop of the channel-overlap relation.  Ids that are no longer
+        live are skipped; a failed-over connection still contributes its
+        former primary's links (it keeps ``primary_links`` for life).
+        """
+        links: Set[LinkId] = set()
+        for cid in conn_ids:
+            conn = self.connections.get(cid)
+            if conn is not None:
+                links.update(conn.primary_links)
+        on_link = self.channels_on_link
+        return set().union(*[on_link.get(lid, ()) for lid in links])
+
+    def levels_of(self, conn_ids: Sequence[int]) -> List[int]:
+        """Current level of each live connection in ``conn_ids``, in order."""
+        connections = self.connections
+        return [connections[cid].level for cid in conn_ids]
 
     # ------------------------------------------------------------------
     # micro-epoch bracket

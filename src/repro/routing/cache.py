@@ -28,6 +28,12 @@ passes, the cache answers "unknown" and the caller falls back to the
 real filtered search — cache misses can cost a little, but can never
 change a route.  When the enumeration is exhausted without a hit, there
 is *no* admissible path at all and the cache answers that definitively.
+
+:class:`RouteCache` (object core) is exactly the above and doubles as
+the twin-test oracle.  :class:`ArrayRouteCache` (array core) keeps the
+same contract but discards less: searches over the all-alive topology
+are never repeated, and only pairs a failure actually touches take a
+per-generation detour (see its docstring).
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import numpy as np
 from repro.network.link_state import EPSILON, LinkState
 from repro.network.link_table import LinkTable
 from repro.network.state import NetworkState
+from repro.routing.disjoint import maximally_disjoint_path
 from repro.routing.ksp import paths_iter_rows
 from repro.routing.shortest import bfs_path_rows
 from repro.topology.graph import LinkId, Network, link_id
@@ -230,7 +237,7 @@ class RouteCache:
 
 
 # ----------------------------------------------------------------------
-# array-core variant: handle-based admission re-check
+# array-core variant: precompiled plans, entries that outlive failures
 # ----------------------------------------------------------------------
 
 #: Adjacency rows over dense link indices: node -> [(nbr, lid, index)].
@@ -245,7 +252,8 @@ class RoutePlan:
     ``ConnectionTable.allocate`` wants), the ``frozenset`` of link ids
     (conflict-set key), and the dense-index set seeding the affected-
     link frontier — is computed once when the candidate is materialized
-    and reused until the owning entry's generation is invalidated.
+    and reused for as long as the owning entry lives (the life of the
+    cache for an all-alive entry, one generation for a detour).
     Plans are shared: callers must treat every field as immutable
     (``ConnectionTable`` arenas copy on append, so handing the arrays
     straight to ``allocate``/``set_backup`` is safe).
@@ -264,47 +272,67 @@ class RoutePlan:
 
 
 class BackupPlan:
-    """Precompiled fully-disjoint backup candidate.
+    """Precompiled backup candidate of one primary path.
 
-    Built only by :meth:`ArrayRouteCache.raw_disjoint_backup`, whose
-    BFS avoids every primary link — so a ``BackupPlan``'s overlap with
-    its primary is **zero by construction** and callers skip the
-    per-arrival overlap count entirely.
+    Built only by :class:`ArrayRouteCache`: either the fully-disjoint
+    BFS answer (``overlap`` zero **by construction**, so callers skip
+    the per-arrival overlap count) or, for a primary that has no
+    disjoint path, the maximally-disjoint answer with its ``overlap``
+    counted once.
     """
 
-    __slots__ = ("path", "links", "idx", "nodes")
+    __slots__ = ("path", "links", "idx", "nodes", "overlap")
 
-    def __init__(self, path: List[int], links: List[LinkId], idx: np.ndarray) -> None:
+    def __init__(
+        self, path: List[int], links: List[LinkId], idx: np.ndarray, overlap: int
+    ) -> None:
         self.path = path
         self.links = links
         self.idx = idx
         self.nodes = np.asarray(path, dtype=np.int64)
+        self.overlap = overlap
 
 
 class _ArrayPairEntry:
     """Candidate routes of one (source, destination) pair (array core)."""
 
-    __slots__ = ("generation", "candidates", "producer", "exhausted", "backups")
+    __slots__ = ("candidates", "producer", "exhausted", "backups")
 
-    def __init__(self, generation: int, producer: Iterator[List[int]]) -> None:
-        self.generation = generation
+    def __init__(self, producer: Iterator[List[int]]) -> None:
         self.producer = producer
         self.candidates: List[RoutePlan] = []
         self.exhausted = False
         self.backups: Dict[Tuple[int, ...], Optional[BackupPlan]] = {}
 
 
+_NONE_FAILED: FrozenSet[int] = frozenset()
+
+
 class ArrayRouteCache:
     """Candidate-route cache over a :class:`LinkTable` (SoA core).
 
-    Same enumeration, invalidation, and correctness contract as
-    :class:`RouteCache`, but candidates are precompiled
-    :class:`RoutePlan` objects carrying dense link-index arrays and the
-    derived sets an admission needs.  The admission re-check reads the
-    table's materialized ``headroom`` column directly per candidate
-    link — a handful of scalar reads on the hit path, no per-arrival
-    mask construction.  Callers pass their ``generation`` counter
-    (bumped on every fail/repair) so stale entries self-invalidate.
+    Same enumeration and correctness contract as :class:`RouteCache`,
+    but candidates are precompiled :class:`RoutePlan` objects carrying
+    dense link-index arrays and the derived sets an admission needs,
+    and the admission re-check reads the table's materialized
+    ``headroom`` column directly per candidate link.
+
+    Unlike :class:`RouteCache` it does not discard what a failure does
+    not touch.  Raw routes depend on connectivity, not load, and
+    removing links removes paths without reordering the rest: the
+    ``(hops, lex)`` enumeration over the topology minus the failed
+    links F *is* the all-alive enumeration minus the paths through F.
+    So every search over the **all-alive** topology (``_pairs`` and the
+    maximally-disjoint memo ``_partials``) happens at most once and its
+    answer lives as long as the cache.  Only a pair whose probed
+    all-alive candidate (or memoised disjoint backup) crosses a
+    currently failed link takes the **detour**: an entry enumerated
+    over the live topology, good for one generation (``_detours`` is
+    emptied whenever the caller's ``generation`` counter, bumped on
+    every fail/repair, moves).  Either way the candidates probed are
+    the first ``probe_limit`` of the live enumeration, so routes,
+    ``hits`` and ``fallbacks`` equal those of a cache rebuilt from
+    scratch at every generation.
     """
 
     def __init__(
@@ -322,24 +350,39 @@ class ArrayRouteCache:
         self.rows = rows
         self.probe_limit = probe_limit
         self.max_pairs = max_pairs
+        #: All-alive entries: never invalidated.
         self._pairs: Dict[Tuple[int, int], _ArrayPairEntry] = {}
+        #: Live-topology entries of failure-affected pairs; one generation.
+        self._detours: Dict[Tuple[int, int], _ArrayPairEntry] = {}
+        #: Primary path -> all-alive maximally-disjoint plan; never invalidated.
+        self._partials: Dict[Tuple[int, ...], Optional[BackupPlan]] = {}
+        self._generation: Optional[int] = None
+        self._failed_idx: FrozenSet[int] = _NONE_FAILED
+        self._failed_lids: FrozenSet[LinkId] = frozenset()
         self.hits = 0
         self.fallbacks = 0
 
-    def _entry(self, source: int, destination: int, generation: int) -> _ArrayPairEntry:
+    def _new_generation(self, generation: int) -> None:
+        """Drop the detours and re-read which links are down."""
+        self._generation = generation
+        self._detours.clear()
+        link_ids = self.links.link_ids
+        down = np.flatnonzero(self.links.failed).tolist()
+        self._failed_idx = frozenset(down)
+        self._failed_lids = frozenset(link_ids[li] for li in down)
+
+    def _entry(self, source: int, destination: int, detour: bool = False) -> _ArrayPairEntry:
+        pairs = self._detours if detour else self._pairs
         key = (source, destination)
-        entry = self._pairs.get(key)
-        if entry is None or entry.generation != generation:
-            if entry is None and len(self._pairs) >= self.max_pairs:
-                self._pairs.clear()
-            failed = self.links.failed
-            edge_ok: Optional[Callable[[LinkId, int], bool]] = None
-            if failed.any():
-                edge_ok = lambda lid, li: not failed[li]  # noqa: E731
+        entry = pairs.get(key)
+        if entry is None:
+            if len(pairs) >= self.max_pairs:
+                pairs.clear()
+            blocked = self._failed_lids if detour else frozenset()
             entry = _ArrayPairEntry(
-                generation, paths_iter_rows(self.rows, source, destination, edge_ok)
+                paths_iter_rows(self.rows, source, destination, None, blocked)
             )
-            self._pairs[key] = entry
+            pairs[key] = entry
         return entry
 
     def _candidate(self, entry: _ArrayPairEntry, index: int) -> Optional[RoutePlan]:
@@ -371,21 +414,33 @@ class ArrayRouteCache:
         (the overwhelmingly common case) never pays for building the
         full per-link mask.
         """
-        entry = self._entry(source, destination, generation)
+        if generation != self._generation:
+            self._new_generation(generation)
+        failed = self._failed_idx
+        entry = self._entry(source, destination)
         t = self.links
         t.refresh_aggregates()
-        failed = t.failed
         headroom = t.headroom
-        for index in range(self.probe_limit):
+        index = 0
+        while index < self.probe_limit:
             plan = self._candidate(entry, index)
             if plan is None:
                 return NO_ROUTE
+            if failed and not failed.isdisjoint(plan.idx_set):
+                # A probed all-alive candidate is down, so the live
+                # enumeration's leading candidates are not these: start
+                # over on the pair's detour, which crosses no failed link.
+                entry = self._entry(source, destination, detour=True)
+                failed = _NONE_FAILED
+                index = 0
+                continue
             for li in plan.idx_list:
-                if failed[li] or b_min > headroom[li] + EPSILON:
+                if b_min > headroom[li] + EPSILON:
                     break
             else:
                 self.hits += 1
                 return plan
+            index += 1
         self.fallbacks += 1
         return None
 
@@ -411,29 +466,77 @@ class ArrayRouteCache:
         ``None`` means no fully disjoint live path exists at all.  The
         returned plan is shared; treat it as immutable.
         """
-        entry = self._entry(source, destination, generation)
+        if generation != self._generation:
+            self._new_generation(generation)
+        plan = self._disjoint(self._entry(source, destination), primary_path, avoid)
+        failed = self._failed_idx
+        if plan is None or not failed or failed.isdisjoint(plan.idx.tolist()):
+            # The least path of a graph that survives in a subgraph is
+            # the subgraph's least path; none at all stays none.
+            return plan
+        return self._disjoint(
+            self._entry(source, destination, detour=True),
+            primary_path,
+            avoid | self._failed_lids,
+        )
+
+    def _disjoint(
+        self,
+        entry: _ArrayPairEntry,
+        primary_path: Tuple[int, ...],
+        blocked: FrozenSet[LinkId],
+    ) -> Optional[BackupPlan]:
+        """``entry``'s memoised BFS answer for ``primary_path``."""
         try:
             return entry.backups[primary_path]
         except KeyError:
             pass
         if len(entry.backups) >= 64:  # unbounded-primary-key guard
             entry.backups.clear()
-        failed = self.links.failed
-        if failed.any():
-            edge_ok = lambda lid, li: lid not in avoid and not failed[li]  # noqa: E731
-        else:
-            edge_ok = lambda lid, li: lid not in avoid  # noqa: E731
-        path = bfs_path_rows(self.rows, source, destination, edge_ok)
-        candidate: Optional[BackupPlan] = None
-        if path is not None:
-            links = [link_id(a, b) for a, b in zip(path, path[1:])]
-            candidate = BackupPlan(path, links, self.links.indices_of(links))
-        entry.backups[primary_path] = candidate
-        return candidate
+        path = bfs_path_rows(
+            self.rows, primary_path[0], primary_path[-1], None, blocked
+        )
+        plan = self._backup_plan(path, 0) if path is not None else None
+        entry.backups[primary_path] = plan
+        return plan
+
+    def _backup_plan(self, path: List[int], overlap: int) -> BackupPlan:
+        links = [link_id(a, b) for a, b in zip(path, path[1:])]
+        return BackupPlan(path, links, self.links.indices_of(links), overlap)
+
+    def raw_partial_backup(
+        self, primary_path: Tuple[int, ...], avoid: FrozenSet[LinkId]
+    ) -> Optional[BackupPlan]:
+        """All-alive, load-free maximally-disjoint plan for ``primary_path``.
+
+        A candidate, like the others: the caller re-checks it against
+        the load- and failure-dependent backup admission and, when
+        every link passes, it *is* what the filtered
+        :func:`maximally_disjoint_path` would return.  (Dijkstra's
+        parent of a node is its first-settled optimal predecessor in
+        ``(dist, node)`` order; deleting edges off the winning path
+        raises no distance on it and adds no optimal predecessor, so
+        every parent along it — hence the path — is unchanged.)  When a
+        link fails the re-check the caller runs the filtered search.
+        """
+        try:
+            return self._partials[primary_path]
+        except KeyError:
+            pass
+        if len(self._partials) >= self.max_pairs:
+            self._partials.clear()
+        found = maximally_disjoint_path(
+            self.topology, primary_path[0], primary_path[-1], avoid
+        )
+        plan = self._backup_plan(*found) if found is not None else None
+        self._partials[primary_path] = plan
+        return plan
 
     def clear(self) -> None:
-        """Drop every entry (tests / explicit invalidation)."""
+        """Drop every memoised search (tests / explicit invalidation)."""
         self._pairs.clear()
+        self._detours.clear()
+        self._partials.clear()
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._pairs) + len(self._detours) + len(self._partials)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from itertools import islice
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Collection, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import RoutingError
 from repro.routing.shortest import (
@@ -61,13 +61,17 @@ def paths_iter_rows(
     source: int,
     destination: int,
     edge_ok: Optional[EdgeFilter] = None,
+    blocked_links: Collection[LinkId] = (),
 ) -> Iterator[List[int]]:
     """Rows-based core of :func:`shortest_paths_iter`.
 
     Takes compact adjacency rows directly so callers holding live-state
     rows (the route cache) can enumerate without per-edge dict lookups.
+    ``blocked_links`` (a set) removes links from the graph natively —
+    enumerating with a link blocked yields exactly the unblocked
+    enumeration minus the paths that cross it, in the same order.
     """
-    first = bfs_path_rows(rows, source, destination, edge_ok)
+    first = bfs_path_rows(rows, source, destination, edge_ok, blocked_links)
     if first is None:
         return
     yield first
@@ -81,26 +85,15 @@ def paths_iter_rows(
         for i in range(len(prev) - 1):
             spur_node = prev[i]
             root = prev[: i + 1]
-            removed_links: Set[LinkId] = set()
+            # Yen's spur graph: drop the next link of every accepted
+            # path sharing this root, and the root's own nodes.
+            removed_links: Set[LinkId] = set(blocked_links)
             for path in paths:
                 if len(path) > i and path[: i + 1] == root:
                     removed_links.add(link_id(path[i], path[i + 1]))
-            banned_nodes = set(root[:-1])
-
-            def spur_ok(
-                lid: LinkId,
-                payload: object,
-                _removed: Set[LinkId] = removed_links,
-                _banned: Set[int] = banned_nodes,
-                _base: Optional[EdgeFilter] = edge_ok,
-            ) -> bool:
-                if lid in _removed:
-                    return False
-                if lid[0] in _banned or lid[1] in _banned:
-                    return False
-                return _base is None or _base(lid, payload)
-
-            spur = bfs_path_rows(rows, spur_node, destination, spur_ok)
+            spur = bfs_path_rows(
+                rows, spur_node, destination, edge_ok, removed_links, root[:-1]
+            )
             if spur is None:
                 continue
             total = root[:-1] + spur

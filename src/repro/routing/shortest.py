@@ -17,7 +17,10 @@ of calling ``neighbors()`` (which sorts) plus ``get_link()`` (a dict
 lookup) per edge.  The rows-based cores :func:`bfs_path_rows` and
 :func:`dijkstra_path_rows` are shared by the k-shortest enumeration,
 the disjoint backup search, and the manager's admission-aware searches
-(which use rows whose payload is the live ``LinkState``).
+(which use rows whose payload is the live ``LinkState``).  Links and
+nodes a search must avoid go to :func:`bfs_path_rows` as sets, tested
+inline; a Python predicate per edge is only for what depends on the
+row payload.
 
 Determinism contract (relied on by the route cache): with the hop
 metric, :func:`bfs_path_rows` returns the unique path that minimizes
@@ -34,7 +37,17 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import RoutingError
 from repro.topology.graph import Link, LinkId, Network
@@ -108,29 +121,42 @@ def bfs_path_rows(
     source: int,
     destination: int,
     edge_ok: Optional[EdgeFilter] = None,
+    blocked_links: Collection[LinkId] = (),
+    blocked_nodes: Iterable[int] = (),
 ) -> Optional[List[int]]:
     """Hop-count shortest path over compact adjacency rows.
 
     The core of every unweighted search in the library.  Returns the
     (hops, node-sequence)-lexicographically least admissible path (see
     the module docstring), or ``None`` when the destination is cut off.
+
+    ``blocked_links`` (pass a set) and ``blocked_nodes`` remove links
+    and nodes from the graph without a Python call per edge — what
+    Yen's spur searches and the disjoint-backup search need; ``edge_ok``
+    remains for predicates over the row payload.  A blocked node is
+    never entered (a blocked ``source`` still starts the search).
     """
-    parent: Dict[int, int] = {source: source}
+    if source == destination:
+        return [source]
+    # Blocked nodes are pre-marked as visited, so the per-edge visited
+    # test covers them at no extra cost.
+    parent: Dict[int, int] = dict.fromkeys(blocked_nodes, -1)
+    parent[source] = source
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        if node == destination:
-            break
         for nbr, lid, payload in rows.get(node, ()):
-            if nbr in parent:
+            if nbr in parent or lid in blocked_links:
                 continue
             if edge_ok is not None and not edge_ok(lid, payload):
                 continue
             parent[nbr] = node
+            if nbr == destination:
+                # A node's first discovery fixes its parent for good, so
+                # the rest of the frontier cannot change the answer.
+                return _walk_back(parent, source, destination)
             queue.append(nbr)
-    if destination not in parent:
-        return None
-    return _walk_back(parent, source, destination)
+    return None
 
 
 def dijkstra_path_rows(

@@ -24,7 +24,7 @@ network manager into :class:`~repro.markov.parameters.MarkovParameters`:
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Collection, Optional, Set, Tuple
 
 import numpy as np
 
@@ -85,18 +85,18 @@ class TransitionEstimator:
         if impact.kind is EventKind.ARRIVAL:
             self._observe_arrival(impact, manager, pre_event_live)
         elif impact.kind is EventKind.TERMINATION:
-            self._observe_counts(self.t_counts, impact)
+            self._observe_counts(self.t_counts, impact.direct.values())
             self._observe_pf(impact, pre_event_live)
         elif impact.kind is EventKind.FAILURE:
             self._failures_seen += 1
-            self._observe_counts(self.f_counts, impact)
+            self._observe_counts(self.f_counts, impact.direct.values())
         # REPAIR events do not move channels (no fail-back).
 
     def _observe_arrival(
         self, impact: EventImpact, manager: NetworkManager, pre_event_live: int
     ) -> None:
         self._arrivals_seen += 1
-        self._observe_counts(self.a_counts, impact)
+        self._observe_counts(self.a_counts, impact.direct.values())
         self._observe_pf(impact, pre_event_live)
         if not impact.accepted:
             return
@@ -106,23 +106,22 @@ class TransitionEstimator:
         if pre_event_live > 0:
             self._ps_weighted_sum += len(indirect) / pre_event_live
             self._ps_events += 1
-        top = self.num_levels - 1
-        for cid in indirect:
-            if cid in impact.indirect_changed:
-                before, after = impact.indirect_changed[cid]
-            else:
-                conn = manager.connections.get(cid)
-                if conn is None:
-                    continue
-                before = after = conn.level
-            self.b_counts[min(before, top), min(after, top)] += 1
+        changed = impact.indirect_changed
+        pairs = [changed[cid] for cid in indirect if cid in changed]
+        levels = manager.levels_of([cid for cid in indirect if cid not in changed])
+        pairs.extend(zip(levels, levels))
+        self._observe_counts(self.b_counts, pairs)
 
-    def _observe_counts(self, counts: np.ndarray, impact: EventImpact) -> None:
-        top = self.num_levels - 1
-        for before, after in impact.direct.values():
-            # Heterogeneous workloads may contain contracts with more
-            # levels than the template chain; clip into the top state.
-            counts[min(before, top), min(after, top)] += 1
+    def _observe_counts(
+        self, counts: np.ndarray, pairs: Collection[Tuple[int, int]]
+    ) -> None:
+        """Count one event's ``(before, after)`` pairs in a single fold."""
+        if not pairs:
+            return
+        # Heterogeneous workloads may contain contracts with more
+        # levels than the template chain; clip into the top state.
+        clipped = np.minimum(np.array(list(pairs), dtype=np.intp), self.num_levels - 1)
+        np.add.at(counts, (clipped[:, 0], clipped[:, 1]), 1.0)
 
     def _observe_pf(self, impact: EventImpact, pre_event_live: int) -> None:
         if pre_event_live > 0:
@@ -134,19 +133,11 @@ class TransitionEstimator:
 
         Two hops in the overlap relation: channels sharing a link with a
         directly-chained channel, minus the direct set and the event's
-        own connection.  Uses the maintained per-link index, so the cost
-        is a few thousand C-speed set updates.
+        own connection.  The manager walks its own per-link index, on
+        whatever it keys that index by.
         """
-        direct_ids = set(impact.direct)
-        indirect: Set[int] = set()
-        on_link = manager.channels_on_link
-        for cid in direct_ids:
-            conn = manager.connections.get(cid)
-            if conn is None:
-                continue  # dropped by a failure during this event
-            for lid in conn.primary_links:
-                indirect.update(on_link.get(lid, ()))
-        indirect -= direct_ids
+        indirect = manager.ids_sharing_links(impact.direct)
+        indirect.difference_update(impact.direct)
         if impact.conn_id is not None:
             indirect.discard(impact.conn_id)
         return indirect

@@ -105,3 +105,214 @@ def test_cached_equals_uncached_through_failures(seed):
                 assert conn_a.backup_path == conn_b.backup_path
     assert_twins_agree(cached, plain)
     assert cached.state.failed_links == plain.state.failed_links
+
+
+# ----------------------------------------------------------------------
+# Array core: entries that outlive failures (ArrayRouteCache)
+# ----------------------------------------------------------------------
+#
+# The array cache keeps its all-alive searches for life and consults a
+# per-generation detour only for pairs a failure touches.  Its oracle
+# here is the definition it must reproduce — enumerate the *live*
+# topology from scratch at every query and probe the first
+# ``probe_limit`` candidates — plus the filtered searches the manager
+# falls back to.  Each property is also run against a mutant that skips
+# the failed-link check, and must catch it.
+
+import random
+from itertools import islice
+
+from repro.channels import make_manager
+from repro.network.link_table import LinkTable
+from repro.routing.cache import NO_ROUTE, ArrayRouteCache
+from repro.routing.disjoint import disjoint_path, maximally_disjoint_path
+from repro.routing.ksp import paths_iter_rows
+from repro.routing.shortest import bfs_path_rows
+from repro.topology.graph import link_id
+
+SURVIVOR_SETTINGS = settings(max_examples=40, deadline=None)
+MUTANT_SEEDS = range(25)
+
+
+def _protected(b_min: float) -> ConnectionQoS:
+    return ConnectionQoS(
+        performance=ElasticQoS(b_min=b_min, b_max=b_min + 200.0, increment=50.0),
+        dependability=DependabilityQoS(),
+    )
+
+
+def _churn_step(m, net, rng: random.Random, live: list) -> None:
+    """One event: arrival, termination, fail, repair or ``set_capacity``."""
+    t, state = m.links, m.state
+    roll = rng.random()
+    if roll < 0.45:
+        s, d = rng.sample(net.nodes(), 2)
+        conn, _ = m.request_connection(s, d, _protected(rng.choice((50.0, 100.0, 150.0))))
+        if conn is not None:
+            live.append(conn.conn_id)
+    elif roll < 0.6:
+        if live:
+            cid = live.pop(rng.randrange(len(live)))
+            if cid in m.connections:  # may have died with a link
+                m.terminate_connection(cid)
+    elif roll < 0.75:
+        alive = state.alive_link_list()
+        if len(alive) > net.num_links - 3:
+            m.fail_link(alive[rng.randrange(len(alive))])
+    elif roll < 0.88:
+        failed = state.failed_link_list()
+        if failed:
+            m.repair_link(failed[rng.randrange(len(failed))])
+    else:
+        li = rng.randrange(len(t))
+        t.refresh_aggregates()
+        floor_cap = float(
+            t.primary_min[li]
+            + t.activated[li]
+            + max(float(t.primary_extra[li]), float(t.backup_reserved[li]))
+        )
+        t.set_capacity(li, floor_cap + rng.choice((10.0, 60.0, 300.0)))
+
+
+def _array_manager(seed: int):
+    # Small Waxman graphs have pendant nodes and bridges (pairs with no
+    # disjoint path) next to well-connected cores; tight links make
+    # arrivals probe past the first candidate.
+    net = waxman_network(
+        12, WaxmanParams(alpha=0.5, beta=0.4), 450.0, np.random.default_rng(seed)
+    )
+    return net, make_manager(net, core="array")
+
+
+def _rebuilt_primary(rows, t, s, d, b_min, probe_limit):
+    """What a cache built now, on the live topology, would answer."""
+    admit = t.primary_admission_mask(b_min)
+    alive = lambda lid, li: not t.failed_py[li]  # noqa: E731
+    probed = list(islice(paths_iter_rows(rows, s, d, alive), probe_limit))
+    for path in probed:
+        if all(admit[t.index[link_id(a, b)]] for a, b in zip(path, path[1:])):
+            return path
+    return None if len(probed) == probe_limit else NO_ROUTE
+
+
+def check_survivor_equals_rebuilt(seed: int) -> None:
+    net, m = _array_manager(seed)
+    rng = random.Random(seed)
+    t, state, rows = m.links, m.state, m.state.adjacency_rows()
+    survivor = ArrayRouteCache(net, t, rows)
+    hits = fallbacks = 0
+    live: list = []
+    for _ in range(45):
+        _churn_step(m, net, rng, live)
+        for _ in range(3):
+            s, d = rng.sample(net.nodes(), 2)
+            b_min = rng.choice((50.0, 100.0, 150.0))
+            found = survivor.primary_plan(s, d, b_min, state.generation)
+            expected = _rebuilt_primary(rows, t, s, d, b_min, survivor.probe_limit)
+            if expected is None:
+                fallbacks += 1
+            elif expected is not NO_ROUTE:
+                hits += 1
+            if expected is None or expected is NO_ROUTE:
+                assert found is expected
+                continue
+            assert found is not None and found is not NO_ROUTE
+            assert found.path == expected
+            backup = survivor.raw_disjoint_backup(
+                s, d, tuple(found.path), found.link_set, state.generation
+            )
+            avoid = found.link_set
+            reference = bfs_path_rows(
+                rows, s, d, lambda lid, li: lid not in avoid and not t.failed_py[li]
+            )
+            assert (backup.path if backup is not None else None) == reference
+            assert backup is None or backup.overlap == 0
+    assert (survivor.hits, survivor.fallbacks) == (hits, fallbacks)
+
+
+def check_partial_memo_equals_filtered_search(seed: int) -> None:
+    net, m = _array_manager(seed)
+    rng = random.Random(seed)
+    t, state, cache = m.links, m.state, m.route_cache
+    live: list = []
+    for _ in range(45):
+        _churn_step(m, net, rng, live)
+        for _ in range(3):
+            s, d = rng.sample(net.nodes(), 2)
+            b_min = rng.choice((50.0, 100.0, 150.0))
+            plan = cache.primary_plan(s, d, b_min, state.generation)
+            if plan is None or plan is NO_ROUTE:
+                continue
+            conflict = plan.link_set
+
+            def backup_ok(link) -> bool:
+                return t.can_admit_backup(t.index[link.id], b_min, conflict)
+
+            path, bplan = m._centralized_backup(plan, b_min, _protected(b_min))
+            # Whatever came back — a memoised candidate or a search —
+            # is the answer of the filtered two-stage search.
+            found = disjoint_path(net, s, d, conflict, backup_ok)
+            assert path == (found[0] if found is not None else None)
+            memo = cache.raw_partial_backup(tuple(plan.path), conflict)
+            assert memo is not None  # the primary itself connects the pair
+            if bplan is not None and bplan.overlap:
+                assert bplan is memo
+                assert maximally_disjoint_path(net, s, d, conflict, backup_ok) == (
+                    path,
+                    bplan.overlap,
+                )
+            elif not all(t.can_admit_backup(li, b_min, conflict) for li in memo.idx.tolist()):
+                # Crosses a failed or backup-full link: not returned.
+                assert bplan is not memo
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@SURVIVOR_SETTINGS
+def test_surviving_cache_equals_rebuilt_cache(seed):
+    """Routes, ``hits`` and ``fallbacks`` as if rebuilt at every query."""
+    check_survivor_equals_rebuilt(seed)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@SURVIVOR_SETTINGS
+def test_partial_memo_equals_filtered_search(seed):
+    """The memoised maximally-disjoint answer is the filtered one or unused."""
+    check_partial_memo_equals_filtered_search(seed)
+
+
+def _caught(check) -> bool:
+    for seed in MUTANT_SEEDS:
+        try:
+            check(seed)
+        except AssertionError:
+            return True
+    return False
+
+
+def test_mutant_cache_blind_to_failures_caught(monkeypatch):
+    """Mutant: the cache never learns which links are down."""
+    real = ArrayRouteCache._new_generation
+
+    def blind(self, generation):
+        real(self, generation)
+        self._failed_idx = frozenset()
+
+    monkeypatch.setattr(ArrayRouteCache, "_new_generation", blind)
+    assert _caught(check_survivor_equals_rebuilt)
+
+
+def test_mutant_recheck_blind_to_failures_caught(monkeypatch):
+    """Mutant: the backup re-check forgets that failed links admit nothing."""
+
+    def blind_bulk(self, idx, b_min, primary_links):
+        # ``can_admit_backup`` with the failed test cut out.
+        self.refresh_aggregates()
+        for li in idx.tolist():
+            reserved = float(self.backup_reserved[li])
+            growth = self.backup_reserved_with(li, b_min, primary_links) - reserved
+            if growth > float(self.headroom[li]) + 1e-6:
+                return False
+        return True
+
+    monkeypatch.setattr(LinkTable, "can_admit_backup_bulk", blind_bulk)
+    assert _caught(check_partial_memo_equals_filtered_search)

@@ -204,7 +204,7 @@ def _bare_qos(b_min: float) -> ConnectionQoS:
 
 
 class TestArrayPlanInvalidation:
-    """Precompiled plans must die with their generation, not linger."""
+    """All-alive plans outlive failures; only the detour is per generation."""
 
     def test_plan_shared_within_generation(self, ring6):
         m = make_manager(ring6, core="array")
@@ -213,20 +213,49 @@ class TestArrayPlanInvalidation:
         assert plan.path == [0, 1, 2, 3]
         assert cache.primary_plan(0, 3, 100.0, state.generation) is plan
 
-    def test_repair_after_failure_regenerates_plans(self, ring6):
+    def test_repair_restores_the_same_plan(self, ring6):
         m = make_manager(ring6, core="array")
         cache, state = m.route_cache, m.state
         plan = cache.primary_plan(0, 3, 100.0, state.generation)
         assert plan.path == [0, 1, 2, 3]
+        # A pair whose candidates avoid the failed link: 4 -> 5 has the
+        # direct link and the long way round through (1, 2); only the
+        # first is ever probed.
+        bystander = cache.primary_plan(4, 5, 100.0, state.generation)
+        assert bystander.path == [4, 5]
         m.fail_link((1, 2))
         detour = cache.primary_plan(0, 3, 100.0, state.generation)
         assert detour.path == [0, 5, 4, 3]
+        assert cache.primary_plan(0, 3, 100.0, state.generation) is detour
+        assert cache.primary_plan(4, 5, 100.0, state.generation) is bystander
         m.repair_link((1, 2))
         back = cache.primary_plan(0, 3, 100.0, state.generation)
         assert back.path == [0, 1, 2, 3]
-        # The entry was rebuilt for the new generation: the original
-        # precompiled plan object must not be resurrected.
-        assert back is not plan
+        # The all-alive entry was never discarded: the repair brings
+        # back the very plan object, and the detour is gone with its
+        # generation.
+        assert back is plan
+        assert cache.primary_plan(4, 5, 100.0, state.generation) is bystander
+        m.fail_link((1, 2))
+        again = cache.primary_plan(0, 3, 100.0, state.generation)
+        assert again.path == [0, 5, 4, 3]
+        assert again is not detour
+
+    def test_len_and_clear_cover_every_map(self, ring6):
+        # ``ServiceEngine.close()`` relies on ``clear()`` to make a held
+        # engine cheap: no map the cache holds may survive it.
+        m = make_manager(ring6, core="array")
+        cache, state = m.route_cache, m.state
+        plan = cache.primary_plan(0, 3, 100.0, state.generation)
+        assert len(cache) == 1  # the all-alive entry
+        cache.raw_partial_backup(tuple(plan.path), plan.link_set)
+        assert len(cache) == 2  # + the maximally-disjoint memo
+        m.fail_link((1, 2))
+        cache.primary_plan(0, 3, 100.0, state.generation)
+        assert len(cache) == 3  # + the detour
+        cache.clear()
+        assert len(cache) == 0
+        assert cache.primary_plan(0, 3, 100.0, state.generation).path == [0, 5, 4, 3]
 
     def test_set_capacity_respects_generation_bump(self, ring6):
         m = make_manager(ring6, core="array")

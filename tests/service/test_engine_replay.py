@@ -211,7 +211,10 @@ class TestReplayAndRecovery:
         # dropped (a held result costs the state alone), the state stays
         # sound.  A recovered engine goes on serving and keeps the memo.
         path, engine, digest = self._live_run(tmp_path)
+        assert len(engine.manager.route_cache) > 0
         engine.close()
+        # ``len`` counts every map the memo holds, so 0 means all gone.
+        assert len(engine.manager.route_cache) == 0
         result = replay_log(path)
         assert len(result.engine.manager.route_cache) == 0
         assert result.engine.digest() == digest

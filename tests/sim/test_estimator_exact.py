@@ -129,3 +129,138 @@ class TestHandComputedScenario:
         params = estimator.estimate(use_failure_matrix=True)
         assert params.f is not None
         assert params.f[4, 0] == 1.0
+
+
+# ----------------------------------------------------------------------
+# Both cores, link failures on: counts pinned, walk checked on handles
+# ----------------------------------------------------------------------
+import random
+
+from repro.channels import make_manager
+from repro.channels.records import EventKind
+from repro.topology.regular import grid_network
+
+#: Recorded at the parent of the change that moved the estimator's walk
+#: onto manager handles (seed 11, 600 events, both cores agreed there).
+PINNED = {
+    "a": [
+        [267.0, 3.0, 0.0, 0.0, 0.0],
+        [67.0, 440.0, 7.0, 0.0, 0.0],
+        [1.0, 123.0, 105.0, 1.0, 0.0],
+        [1.0, 12.0, 61.0, 46.0, 2.0],
+        [0.0, 6.0, 37.0, 54.0, 226.0],
+    ],
+    "b": [
+        [185.0, 3.0, 0.0, 0.0, 0.0],
+        [0.0, 367.0, 2.0, 0.0, 1.0],
+        [0.0, 0.0, 137.0, 4.0, 0.0],
+        [0.0, 0.0, 0.0, 61.0, 5.0],
+        [0.0, 0.0, 0.0, 0.0, 192.0],
+    ],
+    "t": [
+        [131.0, 46.0, 3.0, 0.0, 0.0],
+        [0.0, 215.0, 66.0, 14.0, 3.0],
+        [0.0, 0.0, 54.0, 23.0, 15.0],
+        [0.0, 0.0, 0.0, 20.0, 19.0],
+        [0.0, 0.0, 0.0, 0.0, 99.0],
+    ],
+    "f": [
+        [94.0, 17.0, 6.0, 0.0, 0.0],
+        [55.0, 80.0, 26.0, 2.0, 1.0],
+        [26.0, 20.0, 20.0, 7.0, 7.0],
+        [12.0, 6.0, 14.0, 12.0, 5.0],
+        [31.0, 3.0, 2.0, 10.0, 74.0],
+    ],
+    "pf": 0.1843268059135826,
+    "ps": 0.22650747175517816,
+}
+
+
+def protected_contract():
+    return ConnectionQoS(
+        performance=ElasticQoS(b_min=100.0, b_max=300.0, increment=50.0),
+        dependability=DependabilityQoS(),
+    )
+
+
+def reference_sharing(manager, conn_ids):
+    """The walk through the public views (what the estimator used to do)."""
+    sharing = set()
+    for cid in conn_ids:
+        conn = manager.connections.get(cid)
+        if conn is None:
+            continue  # dropped during the event
+        for lid in conn.primary_links:
+            sharing.update(manager.channels_on_link.get(lid, ()))
+    return sharing
+
+
+def drive(core: str, seed: int = 11, events: int = 600):
+    """Seeded churn with link failures; every impact goes to the estimator.
+
+    Returns the estimator and, per failure event, what
+    ``ids_sharing_links`` answered for the event's direct channels —
+    some of which the failure dropped or moved onto their backups.
+    """
+    net = grid_network(4, 4, capacity=1000.0)
+    manager = make_manager(net, core=core)
+    estimator = TransitionEstimator(
+        num_levels=5, arrival_rate=1.0, termination_rate=1.0, failure_rate=0.1,
+        sample_interval=2,
+    )
+    rng = random.Random(seed)
+    nodes = net.nodes()
+    live: list = []
+    walks = []
+    for _ in range(events):
+        pre_live = manager.num_live
+        roll = rng.random()
+        if roll < 0.5 or not live:
+            s, d = rng.sample(nodes, 2)
+            conn, impact = manager.request_connection(s, d, protected_contract())
+            if conn is not None:
+                live.append(conn.conn_id)
+        elif roll < 0.8:
+            cid = live.pop(rng.randrange(len(live)))
+            if cid not in manager.connections:
+                continue  # dropped by an earlier failure
+            impact = manager.terminate_connection(cid)
+        elif roll < 0.9:
+            alive = manager.state.alive_link_list()
+            if len(alive) <= net.num_links - 3:
+                continue
+            impact = manager.fail_link(alive[rng.randrange(len(alive))])
+        else:
+            failed = manager.state.failed_link_list()
+            if not failed:
+                continue
+            impact = manager.repair_link(failed[rng.randrange(len(failed))])
+        estimator.observe(impact, manager, pre_live)
+        if impact.kind is EventKind.FAILURE:
+            sharing = manager.ids_sharing_links(impact.direct)
+            assert sharing == reference_sharing(manager, impact.direct)
+            walks.append((sorted(impact.dropped), sorted(impact.activated), sorted(sharing)))
+    return estimator, walks
+
+
+class TestBothCoresWithFailures:
+    def test_counts_equal_across_cores_and_pinned(self):
+        obj, _ = drive("object")
+        arr, _ = drive("array")
+        for est in (obj, arr):
+            assert est.a_counts.tolist() == PINNED["a"]
+            assert est.b_counts.tolist() == PINNED["b"]
+            assert est.t_counts.tolist() == PINNED["t"]
+            assert est.f_counts.tolist() == PINNED["f"]
+            assert est.pf == PINNED["pf"]
+            assert est.ps == PINNED["ps"]
+
+    def test_walk_over_dropped_and_failed_over(self):
+        _, walks_obj = drive("object")
+        _, walks_arr = drive("array")
+        assert walks_obj == walks_arr
+        # The scenario really contains both hazards: direct channels
+        # that are gone after the event, and ones now on their backup
+        # (live, but no longer in the per-link primary index).
+        assert any(dropped for dropped, _, _ in walks_obj)
+        assert any(activated and sharing for _, activated, sharing in walks_obj)
