@@ -19,7 +19,7 @@ from benchmarks.conftest import archive, bench_jobs
 from repro.analysis.experiments import paper_connection_qos
 from repro.analysis.report import render_table
 from repro.baselines.compare import multiplexing_savings
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.parallel import TopologySpec, parallel_map
 from repro.units import PAPER_LINK_CAPACITY
 
@@ -28,7 +28,7 @@ def _run_mux_leg(spec):
     """One multiplexing configuration over the shared requests (picklable)."""
     label, mux, topology, offered, seed = spec
     net = topology.build()
-    manager = NetworkManager(net, multiplex_backups=mux)
+    manager = make_manager(net, multiplex_backups=mux)
     rng = np.random.default_rng(seed)
     nodes = np.array(net.nodes())
     qos = paper_connection_qos()

@@ -18,7 +18,7 @@ import numpy as np
 
 from benchmarks.conftest import archive, bench_jobs
 from repro.analysis.report import render_table
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.elastic.policies import policy_by_name
 from repro.parallel import TopologySpec, parallel_map
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
@@ -38,7 +38,7 @@ def _run_policy_leg(spec):
     """One policy over the shared request sequence (module-level: picklable)."""
     policy_name, topology, offered, pair_seed = spec
     net = topology.build()
-    manager = NetworkManager(net, policy=policy_by_name(policy_name))
+    manager = make_manager(net, policy=policy_by_name(policy_name))
     pair_rng = np.random.default_rng(pair_seed)
     nodes = np.array(net.nodes())
     for i in range(offered):

@@ -20,7 +20,7 @@ import numpy as np
 from benchmarks.conftest import archive, bench_jobs
 from repro.analysis.experiments import paper_connection_qos
 from repro.analysis.report import render_table
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.parallel import TopologySpec, parallel_map
 from repro.routing.flooding import bounded_flood
 from repro.units import PAPER_B_MIN, PAPER_LINK_CAPACITY
@@ -35,7 +35,7 @@ def _run_engine_leg(spec):
     requests = [tuple(map(int, pair_rng.choice(nodes, size=2, replace=False)))
                 for _ in range(offered)]
     qos = paper_connection_qos()
-    manager = NetworkManager(net, routing=engine)
+    manager = make_manager(net, routing=engine)
     for src, dst in requests:
         manager.request_connection(src, dst, qos)
     hops = [len(c.primary_links) for c in manager.connections.values()]

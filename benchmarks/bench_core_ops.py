@@ -11,8 +11,6 @@ regressed.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -32,9 +30,7 @@ def loaded_manager(n_connections: int, seed: int = 11):
     """A manager pre-loaded with ``n_connections`` on a 60-node network."""
     rng = np.random.default_rng(seed)
     net = paper_random_network(PAPER_LINK_CAPACITY, rng, n=60, target_edges=130)
-    # Defaults to the array core; REPRO_BENCH_CORE=object records the
-    # object-core twin on the same machine (environment recalibration).
-    manager = make_manager(net, core=os.environ.get("REPRO_BENCH_CORE", "array"))
+    manager = make_manager(net)
     qos = paper_connection_qos()
     nodes = np.array(net.nodes())
     pair_rng = np.random.default_rng(seed + 1)

@@ -3,7 +3,7 @@
 Two guards ride here:
 
 * ``test_memory_per_connection`` — bytes of core bookkeeping state per
-  live connection, array core vs object core.  The SoA core's whole
+  live connection, the array core vs the object reference core.  The SoA core's whole
   point is that a connection is a table row plus two CSR slices, not a
   Python object graph; this pins the ratio so a future change that
   quietly re-introduces per-connection object state shows up as a
@@ -89,8 +89,8 @@ def test_memory_per_connection():
         dependability=DependabilityQoS(num_backups=1),
     )
     count = 400
-    ma = make_manager(net, core="array")
-    mo = make_manager(net, core="object")
+    ma = make_manager(net)
+    mo = NetworkManager(net)
     _populate(ma, net, count, qos)
     _populate(mo, net, count, qos)
     assert ma.num_live == mo.num_live == count
@@ -115,7 +115,7 @@ def test_hundred_thousand_connections():
         performance=ElasticQoS(b_min=50.0, b_max=50.0, increment=50.0),
         dependability=DependabilityQoS(num_backups=0),
     )
-    manager = make_manager(net, core="array")
+    manager = make_manager(net)
     count = 100_000
     _populate(manager, net, count, qos, seed=9)
     assert manager.num_live == count

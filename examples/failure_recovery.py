@@ -18,13 +18,13 @@ Run:  python examples/failure_recovery.py
 
 from __future__ import annotations
 
-from repro import NetworkManager, paper_connection_qos
+from repro import make_manager, paper_connection_qos
 from repro.baselines import multiplexing_savings
-from repro.channels import ConnectionState
+from repro.channels import AnyManager
 from repro.topology import ring_network
 
 
-def show_connections(manager: NetworkManager) -> None:
+def show_connections(manager: AnyManager) -> None:
     for cid in manager.live_connection_ids():
         conn = manager.connections[cid]
         route = "backup" if conn.on_backup else "primary"
@@ -37,7 +37,7 @@ def show_connections(manager: NetworkManager) -> None:
 def main() -> None:
     net = ring_network(8, capacity=1_000.0)
     qos = paper_connection_qos()
-    manager = NetworkManager(net)
+    manager = make_manager(net)
 
     print("ring of 8 nodes, 1 Mb/s links; contract:", qos.describe())
 

@@ -17,8 +17,8 @@ import numpy as np
 from repro import (
     ElasticQoSMarkovModel,
     ElasticQoSSimulator,
-    NetworkManager,
     SimulationConfig,
+    make_manager,
     paper_connection_qos,
     paper_random_network,
 )
@@ -41,7 +41,7 @@ def main() -> None:
     )
 
     qos = paper_connection_qos()  # 100..500 Kb/s elastic, Δ=50, one backup
-    manager = NetworkManager(net)
+    manager = make_manager(net)
 
     banner("Establish a DR-connection")
     conn, _ = manager.request_connection(0, net.num_nodes - 1, qos)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import NetworkManager, paper_connection_qos
+from repro import make_manager, paper_connection_qos
 from repro.qos.interval import IntervalQoS, IntervalRegulator
 from repro.runtime import CbrSource, LinkSimulation, OnOffSource
 from repro.topology import dumbbell_network
@@ -35,7 +35,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     net = dumbbell_network(3, capacity=1000.0, bottleneck_capacity=800.0)
     qos = paper_connection_qos()
-    manager = NetworkManager(net)
+    manager = make_manager(net)
     conns = []
     for src, dst in ((1, 5), (2, 6), (3, 7)):
         conn, _ = manager.request_connection(src, dst, qos)

@@ -24,7 +24,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro import NetworkManager
+from repro import make_manager
 from repro.elastic import EqualShare, MaxUtility, UtilityProportional
 from repro.qos import ConnectionQoS, DependabilityQoS, ElasticQoS, single_value_qos
 from repro.topology import TransitStubParams, transit_stub_network
@@ -93,7 +93,7 @@ def main() -> None:
         requests.append((int(src), int(dst), qos, kind))
 
     for policy in (EqualShare(), UtilityProportional(), MaxUtility()):
-        manager = NetworkManager(net, policy=policy)
+        manager = make_manager(net, policy=policy)
         kinds = {}
         for src, dst, qos, kind in requests:
             conn, _ = manager.request_connection(src, dst, qos)

@@ -49,7 +49,7 @@ from repro.analysis import (
     run_table1,
 )
 from repro.baselines import no_backup_contract, single_value_contract
-from repro.channels import ConnectionState, DRConnection, NetworkManager
+from repro.channels import ConnectionState, DRConnection, make_manager
 from repro.elastic import AdaptationPolicy, EqualShare, MaxUtility, UtilityProportional
 from repro.errors import ReproError
 from repro.markov import ElasticQoSMarkovModel, MarkovParameters, steady_state
@@ -84,7 +84,7 @@ __all__ = [
     "single_value_contract",
     "ConnectionState",
     "DRConnection",
-    "NetworkManager",
+    "make_manager",
     "AdaptationPolicy",
     "EqualShare",
     "MaxUtility",

@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
-from repro.channels.manager import NetworkManager
+from repro.channels import AnyManager
 from repro.errors import EstimationError
 from repro.topology.graph import LinkId
 
@@ -51,7 +51,7 @@ class ChainingSnapshot:
         return sum(self.direct_degree.values()) / len(self.direct_degree)
 
 
-def snapshot_chaining(manager: NetworkManager) -> ChainingSnapshot:
+def snapshot_chaining(manager: AnyManager) -> ChainingSnapshot:
     """Compute exact pairwise chaining over all ACTIVE primaries.
 
     Pf (Ps) is the probability that a uniformly random ordered pair of
@@ -101,7 +101,7 @@ def snapshot_chaining(manager: NetworkManager) -> ChainingSnapshot:
 
 
 def chaining_for_route(
-    manager: NetworkManager, route_links: Sequence[LinkId]
+    manager: AnyManager, route_links: Sequence[LinkId]
 ) -> tuple[float, float]:
     """Exact (Pf, Ps) a hypothetical new channel on ``route_links`` sees.
 
@@ -128,7 +128,7 @@ def chaining_for_route(
 
 
 def expected_arrival_chaining(
-    manager: NetworkManager,
+    manager: AnyManager,
     num_samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:

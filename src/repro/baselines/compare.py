@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.channels.manager import NetworkManager
+from repro.channels import AnyManager, make_manager
 from repro.qos.spec import ConnectionQoS
 from repro.topology.graph import Network
 
@@ -44,9 +44,9 @@ def compare_schemes(
 ) -> List[SchemeOutcome]:
     """Offer the same random request sequence to every scheme.
 
-    Each scheme gets its own :class:`NetworkManager` over the shared
-    topology.  Requests are uniformly random distinct node pairs; the
-    sequence is identical across schemes (same seed).
+    Each scheme gets its own manager over the shared topology.
+    Requests are uniformly random distinct node pairs; the sequence is
+    identical across schemes (same seed).
     """
     rng = np.random.default_rng(seed)
     nodes = np.array(topology.nodes())
@@ -57,10 +57,12 @@ def compare_schemes(
 
     outcomes: List[SchemeOutcome] = []
     for name, qos in schemes:
-        manager = NetworkManager(topology)
+        manager = make_manager(topology)
         for src, dst in pairs:
             manager.request_connection(src, dst, qos)
-        backup_reserved = sum(ls.backup_reserved for ls in manager.state.links())
+        backup_reserved = sum(
+            manager.state.link(lid).backup_reserved for lid in topology.link_ids()
+        )
         outcomes.append(
             SchemeOutcome(
                 name=name,
@@ -74,18 +76,21 @@ def compare_schemes(
     return outcomes
 
 
-def multiplexing_savings(manager: NetworkManager) -> Dict[str, float]:
+def multiplexing_savings(manager: AnyManager) -> Dict[str, float]:
     """How much backup bandwidth multiplexing saved on this manager.
 
     Without multiplexing each backup would reserve its full minimum on
     every link it traverses; with multiplexing only the worst single
-    failure's demand is reserved.  Returns totals across all links.
+    failure's demand is reserved.  Returns totals across all links,
+    summed in link order.
     """
     naive = 0.0
     multiplexed = 0.0
-    for ls in manager.state.links():
-        naive += sum(b_min for b_min, _links in ls.backup_members.values())
-        multiplexed += ls.backup_reserved
+    connections = manager.connections
+    for lid in manager.topology.link_ids():
+        members = sorted(manager.backups_on_link.get(lid, ()))
+        naive += sum(connections[cid].qos.performance.b_min for cid in members)
+        multiplexed += manager.state.link(lid).backup_reserved
     saved = naive - multiplexed
     return {
         "naive_reservation": naive,

@@ -18,8 +18,8 @@ pin this, with fault injection on and off).  The contract is exact on
 the paper's dyadic bandwidth grid; see :mod:`repro.elastic.array_fill`
 for the one caveat on off-grid bandwidths.
 
-The object manager remains the reference oracle; this class is the
-default simulation core (see ``repro.channels.make_manager``).
+The object manager is the reference oracle; this class is the one
+production core (``repro.channels.make_manager`` builds it).
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from typing import (
 import numpy as np
 
 from repro.channels.conn_table import CODE_STATE, STATE_CODE, ConnectionTable
-from repro.channels.manager import _UNIVERSAL_CONFLICT, ROUTING_ENGINES
 from repro.channels.records import (
+    _UNIVERSAL_CONFLICT,
+    ROUTING_ENGINES,
     ConnectionState,
     EventImpact,
     EventKind,
@@ -222,11 +223,13 @@ class ArrayNetworkState:
         self.generation += 1
 
     # -- diagnostics ----------------------------------------------------
+    # Summed in link order, as ``NetworkState`` does, so the cores agree
+    # bitwise (``np.sum`` would sum pairwise).
     def total_used(self) -> float:
-        return float(np.sum(self.table.used()))
+        return sum(self.table.used().tolist())
 
     def total_capacity(self) -> float:
-        return float(np.sum(self.table.capacity))
+        return sum(self.table.capacity.tolist())
 
     def utilization(self) -> float:
         cap = self.total_capacity()
@@ -471,7 +474,6 @@ class ArrayNetworkManager:
         #: See the object core: False leaves ``EventImpact.direct`` /
         #: ``indirect_changed`` empty and skips the work of building them.
         self.record_trajectories = True
-        self._epoch_active = False
 
     # ------------------------------------------------------------------
     # queries
@@ -1117,26 +1119,6 @@ class ArrayNetworkManager:
         self.conns.set_backup(h, bk_idx, bk_nodes, overlap)
         self.stats.backups_reestablished += 1
         return True
-
-    # ------------------------------------------------------------------
-    # micro-epoch bracket
-    # ------------------------------------------------------------------
-    def begin_micro_epoch(self) -> None:
-        """Open the bracket one ``ServiceEngine.apply_batch`` runs inside.
-
-        Purely a marker: every event fills when it happens, so state
-        and impacts inside a bracket are the sequential ones (deferring
-        fills across a bracket was measured and retired — DESIGN.md
-        §13.3).
-        """
-        if self._epoch_active:
-            raise SimulationError("micro-epoch already open")
-        self._epoch_active = True
-
-    def end_micro_epoch(self) -> Dict[int, int]:
-        """Close the bracket; nothing is ever pending, so ``{}``."""
-        self._epoch_active = False
-        return {}
 
     # ------------------------------------------------------------------
     # internals

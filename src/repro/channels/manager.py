@@ -27,6 +27,8 @@ from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.channels.records import (
+    _UNIVERSAL_CONFLICT,
+    ROUTING_ENGINES,
     ConnectionState,
     DRConnection,
     EventImpact,
@@ -43,14 +45,6 @@ from repro.routing.disjoint import disjoint_path, maximally_disjoint_path
 from repro.routing.flooding import flooding_route_pair
 from repro.routing.shortest import _check_endpoints, bfs_path_rows
 from repro.topology.graph import Link, LinkId, Network
-
-#: Route-selection engines the manager supports.
-ROUTING_ENGINES = ("dijkstra", "flooding")
-
-#: Sentinel conflict set used when backup multiplexing is disabled: all
-#: backups "conflict" on this pseudo failure link, so their reservations
-#: add up instead of sharing (see NetworkManager.multiplex_backups).
-_UNIVERSAL_CONFLICT: FrozenSet[LinkId] = frozenset({(-1, -1)})
 
 
 class NetworkManager:
@@ -125,7 +119,6 @@ class NetworkManager:
         #: ``dropped``) skip the cost of the level trajectories.  State,
         #: statistics and every other impact field are unaffected.
         self.record_trajectories = True
-        self._epoch_active = False
 
     # ------------------------------------------------------------------
     # queries
@@ -194,24 +187,6 @@ class NetworkManager:
         """Current level of each live connection in ``conn_ids``, in order."""
         connections = self.connections
         return [connections[cid].level for cid in conn_ids]
-
-    # ------------------------------------------------------------------
-    # micro-epoch bracket
-    # ------------------------------------------------------------------
-    def begin_micro_epoch(self) -> None:
-        """Open the bracket one ``ServiceEngine.apply_batch`` runs inside.
-
-        Purely a marker: every event fills when it happens, so state
-        and impacts inside a bracket are the sequential ones.
-        """
-        if self._epoch_active:
-            raise SimulationError("micro-epoch already open")
-        self._epoch_active = True
-
-    def end_micro_epoch(self) -> Dict[int, int]:
-        """Close the bracket; nothing is ever pending, so ``{}``."""
-        self._epoch_active = False
-        return {}
 
     # ------------------------------------------------------------------
     # establishment

@@ -12,10 +12,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.qos.spec import ConnectionQoS, ElasticQoS
 from repro.topology.graph import LinkId
+
+#: Route-selection engines the managers support.
+ROUTING_ENGINES = ("dijkstra", "flooding")
+
+#: Sentinel conflict set used when backup multiplexing is disabled: all
+#: backups "conflict" on this pseudo failure link, so their reservations
+#: add up instead of sharing (see ``multiplex_backups`` on the managers).
+_UNIVERSAL_CONFLICT: FrozenSet[LinkId] = frozenset({(-1, -1)})
 
 
 class ConnectionState(enum.Enum):

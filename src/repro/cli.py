@@ -434,7 +434,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(forwarded)
 
 
-def _bench_workload(core: str, population: int, seed: int):
+def _bench_workload(population: int, seed: int):
     """The ``bench_core_ops`` fixture workload, rebuilt CLI-side.
 
     Same topology, seed and population as
@@ -445,7 +445,7 @@ def _bench_workload(core: str, population: int, seed: int):
 
     rng = np.random.default_rng(seed)
     net = paper_random_network(PAPER_LINK_CAPACITY, rng, n=60, target_edges=130)
-    manager = make_manager(net, core=core)
+    manager = make_manager(net)
     qos = paper_connection_qos()
     nodes = np.array(net.nodes())
     pair_rng = np.random.default_rng(seed + 1)
@@ -464,9 +464,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     names = ("request", "failrep") if args.benchmark == "all" else (args.benchmark,)
     for name in names:
-        net, manager, qos, pair_rng, nodes = _bench_workload(
-            args.core, args.population, args.seed
-        )
+        net, manager, qos, pair_rng, nodes = _bench_workload(args.population, args.seed)
         links = net.link_ids()
 
         if name == "request":
@@ -500,12 +498,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 "cumulative"
             ).print_stats(args.top)
             header = (
-                f"# repro bench --profile: {name} / {args.core} core\n"
+                f"# repro bench --profile: {name}\n"
                 f"# {args.events} events, {elapsed * 1e6 / args.events:.1f} "
                 "us/event -- cProfile's per-call overhead inflates "
                 "call-heavy code; compare wall-clock via pytest-benchmark\n"
             )
-            out = Path(args.out) / f"bench_{name}_{args.core}.prof.txt"
+            out = Path(args.out) / f"bench_{name}.prof.txt"
             atomic_write_text(out, header + buf.getvalue())
             print(header.rstrip())
             print(f"profile written to {out}")
@@ -514,7 +512,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             body(args.events)
             elapsed = time.perf_counter() - t0  # repro-lint: disable=DET003
             print(
-                f"{name:8s} {args.core:6s} {args.events} events: "
+                f"{name:8s} {args.events} events: "
                 f"{elapsed * 1e6 / args.events:8.1f} us/event"
             )
     return 0
@@ -549,7 +547,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         wal_path=args.wal,
         host=args.host,
         port=args.port,
-        engine=EngineConfig(core=args.core, batch_max=args.batch_max),
+        engine=EngineConfig(batch_max=args.batch_max),
         backpressure=BackpressureConfig(
             queue_limit=args.queue_limit,
             shed_watermark=args.shed_watermark,
@@ -597,7 +595,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Drive a running service; optionally record latency percentiles."""
+    """Drive a running service; report latency and check the SLOs."""
     import json
 
     from repro.service.loadgen import LoadgenConfig, run_loadgen_sync
@@ -649,55 +647,14 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     if report.errors:
         print(f"SLO VIOLATION: {report.errors} hard errors")
         failures += 1
-    if args.record is not None:
-        _record_service_latency(Path(args.bench_json), args.record, p50, p99,
-                                int(report.sent))
-        print(f"recorded run {args.record!r} into {args.bench_json}")
     return 1 if failures else 0
-
-
-def _record_service_latency(
-    output: Path, label: str, p50_us: float, p99_us: float, rounds: int
-) -> None:
-    """Merge a service-latency run into BENCH_core_ops.json.
-
-    Uses the benchmarks' own merge helper (loaded by path — benchmarks/
-    is not a package) under core "service", so ``bench_check``'s
-    same-core lineage gate starts a fresh lineage instead of comparing
-    decision latency against manager micro-benchmarks.
-    """
-    import importlib.util
-    import os
-
-    bench_dir = Path(__file__).resolve().parents[2] / "benchmarks"
-    spec = importlib.util.spec_from_file_location(
-        "bench_to_json", bench_dir / "bench_to_json.py"
-    )
-    assert spec is not None and spec.loader is not None
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    results = {
-        "service_decision_p50": {"median_us": round(p50_us, 3), "rounds": rounds},
-        "service_decision_p99": {"median_us": round(p99_us, 3), "rounds": rounds},
-    }
-    previous = os.environ.get("REPRO_BENCH_CORE")
-    os.environ["REPRO_BENCH_CORE"] = "service"
-    try:
-        module.merge_run(output, label, results)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_BENCH_CORE"]
-        else:
-            os.environ["REPRO_BENCH_CORE"] = previous
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Replay a service WAL offline; verify, cross-check, or export it."""
     import json
 
-    from repro.service.replay import export_campaign, replay_log
-    from repro.service.engine import EngineConfig, ServiceEngine
-    from repro.service.wal import ReplayLogReader
+    from repro.service.replay import export_campaign, reference_replay_digest, replay_log
 
     result = replay_log(args.log)
     summary = {
@@ -709,24 +666,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         "num_live": result.engine.manager.num_live,
     }
     if args.cross_check:
-        reader = ReplayLogReader(args.log)
-        other_core = "object" if reader.core == "array" else "array"
-        twin = ServiceEngine(
-            reader.topology,
-            EngineConfig(core=other_core, manager_kwargs=reader.manager_kwargs),
-        )
-        for seq, request in reader.events():
-            twin.seq = seq
-            twin.apply_sequential(request)
-        summary["cross_check_core"] = other_core
-        summary["cross_check_match"] = twin.digest() == result.digest
+        summary["cross_check_match"] = reference_replay_digest(args.log) == result.digest
     if args.expect_digest is not None:
         summary["digest_match"] = result.digest == args.expect_digest
     if args.export is not None:
         summary["export"] = export_campaign(args.log, args.export)
     print(json.dumps(summary, indent=2, sort_keys=True))
     if summary.get("cross_check_match") is False:
-        print("FAIL: cores disagree on replayed state")
+        print("FAIL: the reference manager disagrees on replayed state")
         return 1
     if summary.get("digest_match") is False:
         print("FAIL: replayed digest does not match --expect-digest")
@@ -747,8 +694,6 @@ def cmd_supervise(args: argparse.Namespace) -> int:
     from repro.service.supervisor import ServeSupervisor, SupervisorPolicy
 
     extra = []
-    if args.core != "array":
-        extra += ["--core", args.core]
     if args.chaos_crash is not None:
         extra += ["--chaos-crash", args.chaos_crash]
     if args.chaos_seed is not None:
@@ -783,7 +728,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     from repro.service.soak import run_disk_smoke, run_soak
 
-    cores = [c.strip() for c in args.cores.split(",") if c.strip()]
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as fallback:
         workdir = args.workdir or fallback
         summary: dict = {}
@@ -793,7 +737,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 workdir,
                 seed=args.seed,
                 trials=args.trials,
-                cores=cores,
                 requests=args.requests,
                 sweep=args.sweep,
                 topology=args.topology,
@@ -904,8 +847,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--benchmark", choices=("request", "failrep", "all"),
                    default="all", help="which hot loop to run")
-    p.add_argument("--core", choices=("array", "object"), default="array",
-                   help="manager storage core")
     p.add_argument("--events", type=int, default=2000, help="events per loop")
     p.add_argument("--population", type=int, default=600,
                    help="pre-loaded connections")
@@ -937,9 +878,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0,
                    help="listen port (0 = OS-assigned; see startup line)")
-    p.add_argument("--core", choices=("array", "object"), default="array")
     p.add_argument("--batch-max", type=int, default=64,
-                   help="max requests per micro-epoch")
+                   help="max requests per epoch (one WAL append + fsync)")
     p.add_argument("--queue-limit", type=int, default=1024,
                    help="bounded request queue size (backpressure)")
     p.add_argument("--shed-watermark", type=float, default=0.5,
@@ -968,7 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default="grid:nodes=4,cols=4,capacity=1000")
     p.add_argument("--wal", required=True, metavar="PATH",
                    help="WAL path (required: restarts are pointless without one)")
-    p.add_argument("--core", choices=("array", "object"), default="array")
     p.add_argument("--max-restarts", type=int, default=8)
     p.add_argument("--backoff-base-s", type=float, default=0.2)
     p.add_argument("--backoff-cap-s", type=float, default=10.0)
@@ -992,9 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=5,
                    help="number of seeded trials (ignored with --sweep)")
     p.add_argument("--sweep", action="store_true",
-                   help="one trial per durability crash site per core")
-    p.add_argument("--cores", default="array",
-                   help="comma-separated manager cores (e.g. array,object)")
+                   help="one trial per durability crash site")
     p.add_argument("--requests", type=int, default=60,
                    help="scripted requests per trial")
     p.add_argument("--topology", default="grid:nodes=16,cols=4,capacity=1000")
@@ -1019,10 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail (exit 1) if service p50 decision latency exceeds")
     p.add_argument("--slo-p99-us", type=float, default=None,
                    help="fail (exit 1) if service p99 decision latency exceeds")
-    p.add_argument("--record", default=None, metavar="LABEL",
-                   help="merge p50/p99 into BENCH_core_ops.json as this run label")
-    p.add_argument("--bench-json", default="BENCH_core_ops.json",
-                   help="benchmark artifact to record into")
     p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser(
@@ -1031,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("log", help="replay log written by `repro serve --wal`")
     p.add_argument("--cross-check", action="store_true",
-                   help="also replay on the other manager core and compare digests")
+                   help="also replay on the reference manager and compare digests")
     p.add_argument("--expect-digest", default=None,
                    help="fail unless the replayed digest equals this value")
     p.add_argument("--export", default=None, metavar="PATH",

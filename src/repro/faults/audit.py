@@ -1,11 +1,10 @@
 """Run-time invariant auditing for fault-injected simulations.
 
-The simulator has always been able to run the manager's full invariant
-checker every N events (``check_invariants_every``); fault injection
-makes *when* to audit part of the experiment design, so the knob is
-promoted into a structured :class:`AuditPolicy`:
+Fault injection makes *when* to run the manager's full invariant
+checker part of the experiment design; :class:`AuditPolicy` is the one
+setting that says so (``SimulationConfig(audit=...)``):
 
-* ``every_n_events`` — periodic audits, exactly the legacy behaviour;
+* ``every_n_events`` — periodic audits every N events;
 * ``after_failure`` — audit immediately after every failure event, the
   natural cadence for failure-heavy campaigns (every recovery path just
   exercised gets cross-checked before the next event builds on it).
@@ -32,7 +31,7 @@ class AuditPolicy:
 
     Attributes:
         every_n_events: Audit after every N-th event (0 = no periodic
-            audits); subsumes the legacy ``check_invariants_every``.
+            audits).
         after_failure: Also audit immediately after every failure event.
         trace_tail: How many recent events to keep for the post-mortem
             tail attached to :class:`~repro.errors.AuditError`.

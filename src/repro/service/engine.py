@@ -1,12 +1,12 @@
 """Deterministic admission engine: validated requests -> manager events.
 
 :class:`ServiceEngine` is the piece both the live server and offline
-recovery share.  It owns one manager (either core, array by default),
-assigns the global event sequence, validates requests *before* they
-reach the write-ahead log (so the log only ever contains events that
-apply deterministically), applies them a batch at a time — one WAL
-append + fsync per batch, each event filling as it happens — and
-shapes responses.
+recovery share.  It owns one manager (built by
+:func:`~repro.channels.make_manager`), assigns the global event
+sequence, validates requests *before* they reach the write-ahead log
+(so the log only ever contains events that apply deterministically),
+applies them a batch at a time — one WAL append + fsync per batch,
+each event filling as it happens — and shapes responses.
 
 Determinism contract (what makes `kill -9` recovery bitwise-exact):
 
@@ -48,7 +48,6 @@ class EngineConfig:
     """Engine construction knobs.
 
     Attributes:
-        core: Manager core (``array``/``object``).
         batch_max: Largest batch one epoch (one WAL append + fsync) may
             absorb; the server drains at most this many queued requests
             per epoch.
@@ -57,7 +56,6 @@ class EngineConfig:
             so recovery rebuilds the same manager.
     """
 
-    core: str = "array"
     batch_max: int = 64
     manager_kwargs: Dict[str, Any] = field(default_factory=dict)
 
@@ -88,9 +86,7 @@ class ServiceEngine:
         self.topology = topology
         self.config = config or EngineConfig()
         self.net = topology.build()
-        self.manager = make_manager(
-            self.net, core=self.config.core, **self.config.manager_kwargs
-        )
+        self.manager = make_manager(self.net, **self.config.manager_kwargs)
         # Responses are shaped from accepted / conn_id / activated /
         # dropped alone; nothing here reads level trajectories.
         self.manager.record_trajectories = False
@@ -173,8 +169,7 @@ class ServiceEngine:
         Returns one response envelope per request, in order.  Requests
         failing validation are answered with an error and *not* logged;
         the rest are logged write-ahead (single fsync for the whole
-        batch), applied in order inside one micro-epoch bracket, and
-        answered from their impact records.
+        batch), applied in order, and answered from their impact records.
 
         With ``journal`` set (degraded mode), the WAL is not touched:
         the batch's ``(seq, request)`` pairs are appended to the journal
@@ -206,29 +201,23 @@ class ServiceEngine:
                 raise
         responses: List[Dict[str, Any]] = []
         apply_iter = iter(to_apply)
-        self.manager.begin_micro_epoch()
-        try:
-            for request, slot in zip(batch, slots):
-                if slot is not None:
-                    responses.append(slot)
-                    continue
-                seq, _ = next(apply_iter)
-                chaos_point("mid-epoch")
-                try:
-                    responses.append(
-                        ok_response(request.req_id, self._apply_one(seq, request))
-                    )
-                except ReproError as exc:
-                    # Deterministic, non-mutating apply failure: an
-                    # earlier event in this very batch invalidated the
-                    # target (e.g. a failure dropped the connection a
-                    # later teardown names).  Replay rejects the same
-                    # event at validation, reaching the same state.
-                    problem = self.validate(request)
-                    code, message = problem if problem else ("internal", str(exc))
-                    responses.append(error_response(request.req_id, code, message))
-        finally:
-            self.manager.end_micro_epoch()
+        for request, slot in zip(batch, slots):
+            if slot is not None:
+                responses.append(slot)
+                continue
+            seq, _ = next(apply_iter)
+            chaos_point("mid-epoch")
+            try:
+                responses.append(ok_response(request.req_id, self._apply_one(seq, request)))
+            except ReproError as exc:
+                # Deterministic, non-mutating apply failure: an earlier
+                # event in this very batch invalidated the target (e.g. a
+                # failure dropped the connection a later teardown names).
+                # Replay rejects the same event at validation, reaching
+                # the same state.
+                problem = self.validate(request)
+                code, message = problem if problem else ("internal", str(exc))
+                responses.append(error_response(request.req_id, code, message))
         if journal is None and self.wal is not None and to_apply:
             self.wal.log_epoch(to_apply[-1][0])
         return responses
@@ -250,7 +239,6 @@ class ServiceEngine:
                 request.req_id,
                 {
                     "protocol": PROTOCOL_VERSION,
-                    "core": self.config.core,
                     "batch_max": self.config.batch_max,
                     "topology": self.topology.kind,
                     "num_nodes": self.net.num_nodes,

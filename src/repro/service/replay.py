@@ -13,6 +13,10 @@ run is also an offline batch campaign:
   sequence numbering where the durable history ends.  Events that were
   received but never durably logged before the crash are simply lost —
   their clients never got a response, which is the contract.
+* :func:`reference_replay_digest` replays the same log on the
+  reference core (:class:`~repro.channels.manager.NetworkManager`) —
+  the check behind ``repro replay --cross-check`` and the chaos soak's
+  fourth digest.
 * :func:`export_campaign` normalizes a live log into a standalone
   batch-campaign file: torn tails dropped, epoch/shutdown markers
   stripped, sequence numbers renumbered contiguously.  The output is
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.channels.manager import NetworkManager
 from repro.parallel.checkpoint import atomic_write_text
 from repro.service.chaos import DiskFaultPlan
 from repro.service.engine import EngineConfig, ServiceEngine
@@ -63,9 +68,9 @@ class ReplayResult:
     digest: str
 
 
-def _engine_config(reader: ReplayLogReader, batch_max: int = 64) -> EngineConfig:
-    return EngineConfig(
-        core=reader.core, batch_max=batch_max, manager_kwargs=reader.manager_kwargs
+def _fresh_engine(reader: ReplayLogReader) -> ServiceEngine:
+    return ServiceEngine(
+        reader.topology, EngineConfig(manager_kwargs=reader.manager_kwargs), wal=None
     )
 
 
@@ -83,7 +88,8 @@ def replay_log(path: Union[str, Path]) -> ReplayResult:
     memo.
     """
     reader = ReplayLogReader(path)
-    engine, events, accepted = _apply_log(reader)
+    engine = _fresh_engine(reader)
+    events, accepted = _apply_log(engine, reader)
     engine.close()
     return ReplayResult(
         engine=engine,
@@ -95,10 +101,9 @@ def replay_log(path: Union[str, Path]) -> ReplayResult:
     )
 
 
-def _apply_log(reader: ReplayLogReader) -> Tuple[ServiceEngine, int, int]:
-    """A fresh engine with every durable event of ``reader`` applied;
-    returns it with the event and accepted-establish counts."""
-    engine = ServiceEngine(reader.topology, _engine_config(reader), wal=None)
+def _apply_log(engine: ServiceEngine, reader: ReplayLogReader) -> Tuple[int, int]:
+    """Apply every durable event of ``reader`` to ``engine``; returns
+    the event and accepted-establish counts."""
     events = 0
     accepted = 0
     for seq, request in reader.events():
@@ -107,7 +112,23 @@ def _apply_log(reader: ReplayLogReader) -> Tuple[ServiceEngine, int, int]:
         events += 1
         if request.op == "establish" and response.get("result", {}).get("accepted"):
             accepted += 1
-    return engine, events, accepted
+    return events, accepted
+
+
+def reference_replay_digest(path: Union[str, Path]) -> str:
+    """Digest of the log replayed on the reference core.
+
+    The engine's manager is swapped for a
+    :class:`~repro.channels.manager.NetworkManager` before any event is
+    applied; the two cores are bitwise twins, so the result must equal
+    :func:`replay_log`'s digest.
+    """
+    reader = ReplayLogReader(path)
+    engine = _fresh_engine(reader)
+    engine.manager = NetworkManager(engine.net, **engine.config.manager_kwargs)
+    engine.manager.record_trajectories = False
+    _apply_log(engine, reader)
+    return engine.digest()
 
 
 def recover_engine(
@@ -129,18 +150,16 @@ def recover_engine(
         # when it opens the file, so this is the one sanctioned truncate
         # outside the WAL layer.
         os.truncate(path, reader.valid_bytes)  # repro-lint: disable=DUR003 — recovery-time tear removal; ReplayLogWriter re-verifies the tail on open
-    engine, _, _ = _apply_log(reader)
+    engine = _fresh_engine(reader)
+    _apply_log(engine, reader)
     if batch_max is not None:
         engine.config = EngineConfig(
-            core=engine.config.core,
-            batch_max=batch_max,
-            manager_kwargs=engine.config.manager_kwargs,
+            batch_max=batch_max, manager_kwargs=engine.config.manager_kwargs
         )
     engine.wal = ReplayLogWriter(
         path,
         engine.topology,
         manager_kwargs=engine.config.manager_kwargs,
-        core=engine.config.core,
         disk_faults=disk_faults,
     )
     return engine
@@ -159,7 +178,6 @@ def export_campaign(
     header = {
         "type": "header",
         "version": WAL_VERSION,
-        "core": reader.core,
         "topology": topology_to_dict(reader.topology),
         "manager": reader.manager_kwargs,
     }

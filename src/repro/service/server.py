@@ -110,7 +110,7 @@ class ServiceConfig:
         host / port: Listen address; port 0 lets the OS pick (the bound
             port is in :attr:`AdmissionService.port` and the startup
             announcement line).
-        engine: Core/batching knobs.
+        engine: Batching and manager knobs.
         backpressure: Queue bound and shedding thresholds.
         default_deadline_ms: Deadline applied to mutations that do not
             carry their own (``None`` = no implicit deadline).
@@ -200,7 +200,6 @@ class AdmissionService:
             cfg.wal_path,
             cfg.topology,
             manager_kwargs=cfg.engine.manager_kwargs,
-            core=cfg.engine.core,
             disk_faults=cfg.disk_faults,
         )
         return ServiceEngine(cfg.topology, cfg.engine, wal=wal)

@@ -15,13 +15,14 @@ One *trial* is the full durability argument, end to end:
 5. restart the server on the same WAL: the recovery digest must equal
    the offline digest; drain it cleanly: the drained digest must agree
    too;
-6. replay the WAL once more on the *other* manager core: same digest
-   again (the invariant is core-agnostic).
+6. replay the WAL once more on the reference manager
+   (:func:`~repro.service.replay.reference_replay_digest`): same digest
+   again.
 
 ``run_soak`` executes N seeded trials (or a deterministic sweep over
-every durability site × both cores); one failing invariant fails the
-soak with the trial's seed in the report, so any red run is
-reproducible with ``repro chaos --seed <seed>``.
+every durability site); one failing invariant fails the soak with the
+trial's seed in the report, so any red run is reproducible with
+``repro chaos --seed <seed>``.
 
 ``run_disk_smoke`` is the degraded-mode counterpart: a seeded
 fsync-EIO window must flip the server into degraded read-only mode
@@ -39,7 +40,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.service.chaos import CHAOS_EXIT_CODE, DURABILITY_SITES, ChaosSchedule
-from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.procs import (
     ScriptClient,
     drain_stdout,
@@ -49,8 +49,7 @@ from repro.service.procs import (
     terminate,
     wait_exit,
 )
-from repro.service.replay import replay_log
-from repro.service.wal import ReplayLogReader
+from repro.service.replay import reference_replay_digest, replay_log
 
 DEFAULT_TOPOLOGY = "grid:nodes=16,cols=4,capacity=1000"
 
@@ -70,7 +69,6 @@ class SoakTrialSpec:
     seed: int
     site: str
     hit: int
-    core: str = "array"
     requests: int = 60
     topology: str = DEFAULT_TOPOLOGY
 
@@ -89,7 +87,7 @@ class SoakTrialResult:
     offline_digest: str = ""
     recovered_digest: str = ""
     drained_digest: str = ""
-    cross_core_digest: str = ""
+    reference_digest: str = ""
     ok: bool = False
     detail: str = ""
 
@@ -98,7 +96,6 @@ class SoakTrialResult:
             "seed": self.spec.seed,
             "site": self.spec.site,
             "hit": self.spec.hit,
-            "core": self.spec.core,
             "crashed": self.crashed,
             "exit_code": self.exit_code,
             "answered": self.answered,
@@ -111,7 +108,6 @@ class SoakTrialResult:
 
 def derive_trial(
     seed: int,
-    core: str = "array",
     requests: int = 60,
     sites: Sequence[str] = DURABILITY_SITES,
     topology: str = DEFAULT_TOPOLOGY,
@@ -120,8 +116,7 @@ def derive_trial(
     schedule = ChaosSchedule.from_seed(seed, sites=sites)
     ((site, hit),) = schedule.crashes.items()
     return SoakTrialSpec(
-        seed=seed, site=site, hit=hit, core=core, requests=requests,
-        topology=topology,
+        seed=seed, site=site, hit=hit, requests=requests, topology=topology
     )
 
 
@@ -178,29 +173,11 @@ def _drive_sequential(port: int, requests: List[Dict[str, Any]]) -> int:
     return answered
 
 
-def cross_core_replay_digest(wal_path: Union[str, Path]) -> str:
-    """Replay the log on the *other* core; returns its digest."""
-    reader = ReplayLogReader(wal_path)
-    other = "object" if reader.core == "array" else "array"
-    engine = ServiceEngine(
-        reader.topology,
-        EngineConfig(core=other, manager_kwargs=reader.manager_kwargs),
-        wal=None,
-    )
-    for seq, request in reader.events():
-        engine.seq = seq
-        engine.apply_sequential(request)
-    return engine.digest()
-
-
 def run_trial(spec: SoakTrialSpec, workdir: Union[str, Path]) -> SoakTrialResult:
     """Execute one trial (see module docstring steps 1-6)."""
     result = SoakTrialResult(spec=spec)
-    wal = Path(workdir) / f"soak-{spec.seed}-{spec.site}-{spec.core}.wal"
-    extra = [
-        "--core", spec.core,
-        "--chaos-crash", f"{spec.site}:{spec.hit}",
-    ]
+    wal = Path(workdir) / f"soak-{spec.seed}-{spec.site}.wal"
+    extra = ["--chaos-crash", f"{spec.site}:{spec.hit}"]
     proc = spawn_server(serve_argv(spec.topology, wal, extra))
     try:
         banner = read_banner(proc)
@@ -225,7 +202,7 @@ def run_trial(spec: SoakTrialSpec, workdir: Union[str, Path]) -> SoakTrialResult
     result.durable_events = offline.events_applied
     result.offline_digest = offline.digest
 
-    proc2 = spawn_server(serve_argv(spec.topology, wal, ["--core", spec.core]))
+    proc2 = spawn_server(serve_argv(spec.topology, wal))
     try:
         banner2 = read_banner(proc2)
         client = ScriptClient(int(banner2["port"]))
@@ -246,19 +223,19 @@ def run_trial(spec: SoakTrialSpec, workdir: Union[str, Path]) -> SoakTrialResult
             proc2.kill()
             proc2.wait(timeout=30)
 
-    result.cross_core_digest = cross_core_replay_digest(wal)
+    result.reference_digest = reference_replay_digest(wal)
     result.ok = (
         result.offline_digest
         == result.recovered_digest
         == result.drained_digest
-        == result.cross_core_digest
+        == result.reference_digest
     )
     if not result.ok:
         result.detail = (
             f"digest disagreement: offline={result.offline_digest[:12]} "
             f"recovered={result.recovered_digest[:12]} "
             f"drained={result.drained_digest[:12]} "
-            f"cross-core={result.cross_core_digest[:12]}"
+            f"reference={result.reference_digest[:12]}"
         )
     return result
 
@@ -285,38 +262,33 @@ def run_soak(
     workdir: Union[str, Path],
     seed: int = 0,
     trials: int = 5,
-    cores: Sequence[str] = ("array",),
     requests: int = 60,
     sweep: bool = False,
     topology: str = DEFAULT_TOPOLOGY,
 ) -> SoakReport:
-    """N seeded trials, or (``sweep=True``) every durability site × core.
+    """N seeded trials, or (``sweep=True``) every durability site.
 
-    Sweep hits are derived from ``seed`` per (site, core) so the sweep
-    is deterministic yet not pinned to hit 1 forever.
+    Sweep hits are derived from ``seed`` per site so the sweep is
+    deterministic yet not pinned to hit 1 forever.
     """
     specs: List[SoakTrialSpec] = []
     if sweep:
-        for core in cores:
-            for index, site in enumerate(DURABILITY_SITES):
-                # Seeded from a string: random.Random hashes the bytes
-                # deterministically (unlike built-in str hashing, which
-                # is salted per process).
-                rng = random.Random(f"{seed}:{core}:{site}")
-                hit = 1 if site == "mid-drain" else rng.randint(2, 8)
-                specs.append(
-                    SoakTrialSpec(
-                        seed=seed * 1000 + index, site=site, hit=hit, core=core,
-                        requests=requests, topology=topology,
-                    )
+        for index, site in enumerate(DURABILITY_SITES):
+            # Seeded from a string: random.Random hashes the bytes
+            # deterministically (unlike built-in str hashing, which is
+            # salted per process).
+            rng = random.Random(f"{seed}:{site}")
+            hit = 1 if site == "mid-drain" else rng.randint(2, 8)
+            specs.append(
+                SoakTrialSpec(
+                    seed=seed * 1000 + index, site=site, hit=hit,
+                    requests=requests, topology=topology,
                 )
+            )
     else:
         for index in range(trials):
-            core = cores[index % len(cores)]
             specs.append(
-                derive_trial(
-                    seed + index, core=core, requests=requests, topology=topology
-                )
+                derive_trial(seed + index, requests=requests, topology=topology)
             )
     report = SoakReport()
     start = time.monotonic()

@@ -6,7 +6,9 @@ One JSON object per line, four record types:
               :class:`~repro.parallel.jobs.TopologySpec` the manager's
               network was built from, and the manager construction
               kwargs — everything recovery needs to rebuild an
-              identical manager from nothing.
+              identical manager from nothing.  Logs written before
+              there was one production core also carry a ``core``
+              field; readers ignore it (the cores are bitwise twins).
 ``event``     One mutating request (establish/teardown/fail/repair) in
               wire form plus its global sequence number ``seq``.
               **Write-ahead**: the service appends and fsyncs an
@@ -240,7 +242,6 @@ class ReplayLogWriter:
         path: Union[str, Path],
         topology: TopologySpec,
         manager_kwargs: Optional[Dict[str, Any]] = None,
-        core: str = "array",
         disk_faults: Optional[DiskFaultPlan] = None,
     ) -> None:
         self.path = Path(path)
@@ -264,7 +265,6 @@ class ReplayLogWriter:
             header = {
                 "type": "header",
                 "version": WAL_VERSION,
-                "core": core,
                 "topology": topology_to_dict(topology),
                 "manager": dict(manager_kwargs or {}),
             }
@@ -421,7 +421,6 @@ class ReplayLogReader:
         header: The decoded header record.
         topology: The rebuilt :class:`TopologySpec`.
         manager_kwargs: Manager constructor kwargs from the header.
-        core: Manager core name from the header.
         clean_shutdown: Whether a ``shutdown`` marker closed the log.
         torn_tail: Whether a torn final record was discarded.
         last_seq: Highest durable event sequence number (-1 when empty).
@@ -487,7 +486,6 @@ class ReplayLogReader:
             )
         self.topology = topology_from_dict(self.header["topology"])
         self.manager_kwargs = dict(self.header.get("manager", {}))
-        self.core = str(self.header.get("core", "array"))
 
     def _keep(self, record: Dict[str, Any], line: bytes) -> None:
         """Retain what one verified post-header record contributes."""

@@ -28,7 +28,7 @@ from typing import Collection, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.channels.manager import NetworkManager
+from repro.channels import AnyManager
 from repro.channels.records import EventImpact, EventKind
 from repro.errors import EstimationError
 from repro.markov.parameters import MarkovParameters
@@ -71,7 +71,7 @@ class TransitionEstimator:
     # observation
     # ------------------------------------------------------------------
     def observe(
-        self, impact: EventImpact, manager: NetworkManager, pre_event_live: int
+        self, impact: EventImpact, manager: AnyManager, pre_event_live: int
     ) -> None:
         """Fold one event's impact into the running counts.
 
@@ -93,7 +93,7 @@ class TransitionEstimator:
         # REPAIR events do not move channels (no fail-back).
 
     def _observe_arrival(
-        self, impact: EventImpact, manager: NetworkManager, pre_event_live: int
+        self, impact: EventImpact, manager: AnyManager, pre_event_live: int
     ) -> None:
         self._arrivals_seen += 1
         self._observe_counts(self.a_counts, impact.direct.values())
@@ -128,7 +128,7 @@ class TransitionEstimator:
             self._pf_weighted_sum += len(impact.direct) / pre_event_live
             self._pf_events += 1
 
-    def _indirect_set(self, impact: EventImpact, manager: NetworkManager) -> Set[int]:
+    def _indirect_set(self, impact: EventImpact, manager: AnyManager) -> Set[int]:
         """Channels indirectly chained with the event channel.
 
         Two hops in the overlap relation: channels sharing a link with a

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.channels import MANAGER_CORES, make_manager
+from repro.channels import make_manager
 from repro.channels.records import ManagerStats
 from repro.elastic.policies import AdaptationPolicy
 from repro.errors import SimulationError
@@ -62,16 +62,8 @@ class SimulationConfig:
             indirect-chaining classification (Ps / B estimation) and the
             occupancy histogram sample.
         routing: ``dijkstra`` or ``flooding``.
-        core: Manager storage core — ``"array"`` (struct-of-arrays,
-            default) or ``"object"`` (per-object reference core); both
-            are bitwise-equivalent (twin-manager tests).
         policy: Adaptation policy; ``None`` means equal share (paper).
         qos_factory: Optional per-request QoS factory.
-        check_invariants_every: Legacy audit knob — run the full
-            invariant checker every this many events (0 = off).  Kept
-            for compatibility; equivalent to
-            ``audit=AuditPolicy(every_n_events=N)`` and ignored when
-            ``audit`` is given.
         record_trace: Attach a :class:`~repro.sim.trace.TraceRecorder`
             covering every churn/failure event (warm-up included) to the
             result.
@@ -91,10 +83,8 @@ class SimulationConfig:
     measure_events: int = 2000
     sample_interval: int = 10
     routing: str = "dijkstra"
-    core: str = "array"
     policy: Optional[AdaptationPolicy] = None
     qos_factory: Optional[QoSFactory] = None
-    check_invariants_every: int = 0
     record_trace: bool = False
     faults: Optional[FaultConfig] = None
     audit: Optional[AuditPolicy] = None
@@ -108,10 +98,6 @@ class SimulationConfig:
             )
         if self.warmup_events < 0 or self.measure_events < 1:
             raise SimulationError("need warmup_events >= 0 and measure_events >= 1")
-        if self.core not in MANAGER_CORES:
-            raise SimulationError(
-                f"unknown manager core {self.core!r}; choose from {MANAGER_CORES}"
-            )
 
 
 @dataclass
@@ -156,9 +142,7 @@ class ElasticQoSSimulator:
         self.topology = topology
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.manager = make_manager(
-            topology, core=config.core, policy=config.policy, routing=config.routing
-        )
+        self.manager = make_manager(topology, policy=config.policy, routing=config.routing)
         factory = config.qos_factory or constant_qos(config.qos)
         self.workload = Workload(topology, factory, config.workload, self.rng)
         self.scheduler = EventScheduler()
@@ -215,12 +199,9 @@ class ElasticQoSSimulator:
         injector = build_injector(cfg.faults, self.topology, self.workload)
         if cfg.faults is not None and cfg.faults.activation_fault_prob > 0.0:
             manager.set_activation_faults(cfg.faults.activation_fault_prob, self.rng)
-        audit_policy = cfg.audit
-        if audit_policy is None and cfg.check_invariants_every:
-            audit_policy = AuditPolicy(every_n_events=cfg.check_invariants_every)
         auditor = (
-            Auditor(audit_policy, manager)
-            if audit_policy is not None and audit_policy.enabled
+            Auditor(cfg.audit, manager)
+            if cfg.audit is not None and cfg.audit.enabled
             else None
         )
 

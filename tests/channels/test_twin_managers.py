@@ -1,7 +1,8 @@
-"""Twin-manager equivalence: object core vs array core, bit for bit.
+"""Twin-manager equivalence: the array core vs the object reference, bit for bit.
 
-The struct-of-arrays :class:`ArrayNetworkManager` claims *bitwise*
-equivalence with the per-object :class:`NetworkManager` oracle: driven
+The struct-of-arrays :class:`ArrayNetworkManager` (what
+:func:`make_manager` builds) claims *bitwise* equivalence with the
+per-object :class:`NetworkManager` reference: driven
 through an identical event sequence, every route, grant, drop, impact
 record, statistic and per-link float must match exactly (``==`` on
 floats, not ``approx``).  These tests drive both cores in lock-step —
@@ -25,11 +26,15 @@ from hypothesis import strategies as st
 
 from repro.channels import ArrayNetworkManager, NetworkManager, make_manager
 from repro.channels.digest import manager_state_digest
-from repro.elastic.policies import EqualShare, MaxUtility, UtilityProportional
+from repro.elastic.policies import MaxUtility, UtilityProportional
 from repro.faults.injectors import FaultConfig, build_injector
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.sim import simulator
 from repro.sim.workload import Workload, WorkloadConfig
 from repro.topology.regular import grid_network
+
+#: Manager factory per core name (test ids keep the core names).
+FACTORIES = {"array": make_manager, "object": NetworkManager}
 
 B_MINS = (50.0, 100.0, 150.0)
 INCREMENTS = (50.0, 100.0)
@@ -115,12 +120,12 @@ def _assert_equal_state(mo, ma, where: str) -> None:
 
 
 class TwinDriver:
-    """Drives an object/array manager pair through one decision stream."""
+    """Drives a reference/array manager pair through one decision stream."""
 
     def __init__(self, seed: int, **manager_kwargs) -> None:
         self.net = grid_network(4, 4, capacity=1000.0)
-        self.mo = make_manager(self.net, core="object", **manager_kwargs)
-        self.ma = make_manager(self.net, core="array", **manager_kwargs)
+        self.mo = NetworkManager(self.net, **manager_kwargs)
+        self.ma = make_manager(self.net, **manager_kwargs)
         self.rng = random.Random(seed)
         self.nodes = self.net.nodes()
         self.live: list[int] = []
@@ -300,8 +305,8 @@ class TestTwinUnderInjectors:
     @pytest.mark.parametrize("mode", sorted(INJECTOR_CONFIGS))
     def test_injected_faults_equivalent(self, mode):
         net = grid_network(4, 4, capacity=1000.0)
-        mo = make_manager(net, core="object")
-        ma = make_manager(net, core="array")
+        mo = NetworkManager(net)
+        ma = make_manager(net)
         _drive_injected(mo, ma, mode, _assert_same_impact)
         assert mo.stats.link_failures > 0
 
@@ -327,74 +332,17 @@ class TestTwinProperty:
         TwinDriver(seed).run(60, faults=True, check_every=60)
 
 
-class EpochTwinDriver(TwinDriver):
-    """Array core inside a micro-epoch bracket vs the plain object core.
-
-    The bracket is a marker: every event fills when it happens.  So the
-    inherited per-event impact comparisons hold unchanged, and full
-    state — every connection level, link float and statistic — must be
-    bitwise equal after *every* event, failures inside the bracket
-    included.
-    """
-
-    def __init__(self, seed: int, **manager_kwargs) -> None:
-        super().__init__(seed, **manager_kwargs)
-        self.ma.begin_micro_epoch()
-
-    def run(self, events: int, faults: bool, check_every: int = 1) -> None:
-        super().run(events, faults, check_every)
-        assert self.ma.end_micro_epoch() == {}
+def _on_core(monkeypatch, core: str) -> None:
+    """Make the simulator build ``core``'s manager from here on."""
+    monkeypatch.setattr(simulator, "make_manager", FACTORIES[core])
 
 
-class TestMicroEpochTwin:
-    """A micro-epoch bracket changes nothing: state and impacts are sequential."""
-
-    @pytest.mark.parametrize("seed", range(40, 44))
-    def test_epoch_churn_only(self, seed):
-        EpochTwinDriver(seed).run(300, faults=False)
-
-    @pytest.mark.parametrize("seed", range(44, 48))
-    def test_epoch_churn_and_failures(self, seed):
-        EpochTwinDriver(seed).run(300, faults=True)
-
-    @pytest.mark.parametrize("policy_cls", [UtilityProportional, MaxUtility])
-    def test_epoch_priority_policies(self, policy_cls):
-        EpochTwinDriver(49, policy=policy_cls()).run(200, faults=True)
-
-    def test_bracketed_impacts_equal_unbracketed(self):
-        # Same core on both sides, so the bracket is the only difference:
-        # impacts inside it carry post-fill levels like any other.
-        driver = EpochTwinDriver(50)
-        driver.mo = make_manager(driver.net, core="array")
-        driver.run(300, faults=True)
-        assert driver.ma.stats.link_failures > 0
-
-    def test_double_begin_rejected(self):
-        from repro.errors import SimulationError
-
-        for core in ("object", "array"):
-            m = make_manager(grid_network(2, 2, capacity=1000.0), core=core)
-            m.begin_micro_epoch()
-            with pytest.raises(SimulationError):
-                m.begin_micro_epoch()
-            m.end_micro_epoch()
-            m.begin_micro_epoch()  # reusable after close
-            assert m.end_micro_epoch() == {}
-
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-    @TWIN_SETTINGS
-    def test_epoch_random_sequences(self, seed):
-        EpochTwinDriver(seed).run(60, faults=True)
-
-
-def _simulate(core: str, faults=None, failure_rate: float = 0.01, seed: int = 7, **config):
-    from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
-
+def _simulate(faults=None, failure_rate: float = 0.01, seed: int = 7, **config):
     qos = ConnectionQoS(
         performance=ElasticQoS(b_min=100.0, b_max=300.0, increment=100.0, utility=1.0),
         dependability=DependabilityQoS(num_backups=1),
     )
-    cfg = SimulationConfig(
+    cfg = simulator.SimulationConfig(
         qos=qos,
         offered_connections=30,
         warmup_events=150,
@@ -407,10 +355,9 @@ def _simulate(core: str, faults=None, failure_rate: float = 0.01, seed: int = 7,
             repair_rate=1.0,
         ),
         faults=faults,
-        core=core,
         **config,
     )
-    return ElasticQoSSimulator(grid_network(4, 4, capacity=1000.0), cfg, seed=seed)
+    return simulator.ElasticQoSSimulator(grid_network(4, 4, capacity=1000.0), cfg, seed=seed)
 
 
 def _result_key(r):
@@ -430,32 +377,35 @@ def _plain(obj):
     }
 
 
-class TestMicroEpochSimulator:
+def _simulate_on_both(monkeypatch, **kwargs):
+    """Result keys of one simulation per core name."""
+    results = {}
+    for core in ("array", "object"):
+        _on_core(monkeypatch, core)
+        results[core] = _result_key(_simulate(**kwargs).run())
+    return results
+
+
+class TestTwinSimulator:
     """End-to-end: both cores produce the same simulation, bit for bit."""
 
-    def test_simulator_results_bitwise_identical(self):
-        assert _result_key(_simulate("array").run()) == _result_key(
-            _simulate("object").run()
-        )
+    def test_simulator_results_bitwise_identical(self, monkeypatch):
+        results = _simulate_on_both(monkeypatch)
+        assert results["array"] == results["object"]
 
 
-class TestInjectorsUnderMicroEpochs:
+class TestTwinSimulatorUnderInjectors:
     """Fault injection through the full simulator loop, both cores.
 
-    Each PR 3 injector drives the simulator on the object and the array
-    core; the runs must be bitwise identical.
+    Each fault injector drives the simulator on the array core and on
+    the object reference; the runs must be bitwise identical.
     """
 
     @pytest.mark.parametrize("mode", sorted(INJECTOR_CONFIGS))
-    def test_injected_simulation_bitwise_identical(self, mode):
-        results = {
-            core: _result_key(
-                _simulate(
-                    core, faults=INJECTOR_CONFIGS[mode], failure_rate=0.05, seed=11
-                ).run()
-            )
-            for core in ("object", "array")
-        }
+    def test_injected_simulation_bitwise_identical(self, monkeypatch, mode):
+        results = _simulate_on_both(
+            monkeypatch, faults=INJECTOR_CONFIGS[mode], failure_rate=0.05, seed=11
+        )
         assert results["array"] == results["object"], f"{mode}: cores diverged"
         assert results["object"][2].link_failures > 0, "injector never fired"
 
@@ -472,8 +422,8 @@ class TestTrajectoryRecording:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_off_only_empties_trajectories(self, core, seed, mode):
         net = grid_network(4, 4, capacity=1000.0)
-        on = make_manager(net, core=core)
-        off = make_manager(net, core=core)
+        on = FACTORIES[core](net)
+        off = FACTORIES[core](net)
         off.record_trajectories = False
         recorded = 0
 
@@ -489,9 +439,11 @@ class TestTrajectoryRecording:
         assert recorded > 0
 
     @pytest.mark.parametrize("core", ["array", "object"])
-    def test_simulator_skips_them_until_something_reads_them(self, core):
+    def test_simulator_skips_them_until_something_reads_them(self, monkeypatch, core):
+        _on_core(monkeypatch, core)
+
         def run(**config):
-            sim = _simulate(core, **config)
+            sim = _simulate(**config)
             flags = []
             churn = sim._churn_event
 

@@ -145,20 +145,3 @@ class TestMidRunCorruption:
         )
         result = ElasticQoSSimulator(ring6, config, seed=7).run()
         assert result.audit_checks >= 40
-
-    def test_legacy_knob_maps_to_policy(self, ring6, contract):
-        config = SimulationConfig(
-            qos=contract,
-            workload=WorkloadConfig(
-                arrival_rate=0.001,
-                termination_rate=0.001,
-                link_failure_rate=0.0,
-                repair_rate=1.0,
-            ),
-            offered_connections=2,
-            warmup_events=0,
-            measure_events=100,
-            check_invariants_every=20,
-        )
-        result = ElasticQoSSimulator(ring6, config, seed=3).run()
-        assert result.audit_checks == 5

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.experiments import paper_connection_qos
 from repro.elastic.policies import MaxUtility, UtilityProportional
+from repro.faults.audit import AuditPolicy
 from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
 from repro.sim.workload import WorkloadConfig
 from repro.topology.waxman import paper_random_network
@@ -22,7 +23,7 @@ def run_sim(net, seed=4, **overrides):
         offered_connections=60,
         warmup_events=50,
         measure_events=250,
-        check_invariants_every=50,
+        audit=AuditPolicy(every_n_events=50),
     )
     base.update(overrides)
     return ElasticQoSSimulator(net, SimulationConfig(**base), seed=seed).run()
@@ -60,7 +61,7 @@ class TestReestablishmentUnderChurnAndFailures:
                 link_failure_rate=0.001 / small_net.num_links * 20,
                 repair_rate=0.05,
             ),
-            check_invariants_every=25,
+            audit=AuditPolicy(every_n_events=25),
         )
         sim = ElasticQoSSimulator(small_net, config, seed=8)
         sim.manager.reestablish_backups = True
@@ -84,7 +85,7 @@ class TestReestablishmentUnderChurnAndFailures:
                 link_failure_rate=0.0005 / small_net.num_links * 20,
                 repair_rate=0.05,
             ),
-            check_invariants_every=25,
+            audit=AuditPolicy(every_n_events=25),
         )
         result = ElasticQoSSimulator(small_net, config, seed=12).run()
         assert result.measurement.duration > 0

@@ -181,7 +181,7 @@ def _array_manager(seed: int):
     net = waxman_network(
         12, WaxmanParams(alpha=0.5, beta=0.4), 450.0, np.random.default_rng(seed)
     )
-    return net, make_manager(net, core="array")
+    return net, make_manager(net)
 
 
 def _rebuilt_primary(rows, t, s, d, b_min, probe_limit):

@@ -207,14 +207,14 @@ class TestArrayPlanInvalidation:
     """All-alive plans outlive failures; only the detour is per generation."""
 
     def test_plan_shared_within_generation(self, ring6):
-        m = make_manager(ring6, core="array")
+        m = make_manager(ring6)
         cache, state = m.route_cache, m.state
         plan = cache.primary_plan(0, 3, 100.0, state.generation)
         assert plan.path == [0, 1, 2, 3]
         assert cache.primary_plan(0, 3, 100.0, state.generation) is plan
 
     def test_repair_restores_the_same_plan(self, ring6):
-        m = make_manager(ring6, core="array")
+        m = make_manager(ring6)
         cache, state = m.route_cache, m.state
         plan = cache.primary_plan(0, 3, 100.0, state.generation)
         assert plan.path == [0, 1, 2, 3]
@@ -244,7 +244,7 @@ class TestArrayPlanInvalidation:
     def test_len_and_clear_cover_every_map(self, ring6):
         # ``ServiceEngine.close()`` relies on ``clear()`` to make a held
         # engine cheap: no map the cache holds may survive it.
-        m = make_manager(ring6, core="array")
+        m = make_manager(ring6)
         cache, state = m.route_cache, m.state
         plan = cache.primary_plan(0, 3, 100.0, state.generation)
         assert len(cache) == 1  # the all-alive entry
@@ -258,7 +258,7 @@ class TestArrayPlanInvalidation:
         assert cache.primary_plan(0, 3, 100.0, state.generation).path == [0, 5, 4, 3]
 
     def test_set_capacity_respects_generation_bump(self, ring6):
-        m = make_manager(ring6, core="array")
+        m = make_manager(ring6)
         t, cache, state = m.links, m.route_cache, m.state
         li = t.index_of((0, 1))
         assert cache.primary_plan(0, 3, 100.0, state.generation).path == [0, 1, 2, 3]
@@ -291,7 +291,7 @@ class TestArrayPlanInvalidation:
         """
         rng = random.Random(seed)
         net = grid_network(3, 3, capacity=300.0)
-        m = make_manager(net, core="array")
+        m = make_manager(net)
         t, state, cache = m.links, m.state, m.route_cache
         nodes = net.nodes()
         live: list[int] = []

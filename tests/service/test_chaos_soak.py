@@ -28,8 +28,8 @@ TOPOLOGY = "grid:nodes=4,cols=4,capacity=1000"
 class TestTrialDerivation:
     def test_derive_trial_is_deterministic(self):
         for seed in range(30):
-            first = derive_trial(seed, core="object", requests=17)
-            again = derive_trial(seed, core="object", requests=17)
+            first = derive_trial(seed, requests=17)
+            again = derive_trial(seed, requests=17)
             assert first == again
             assert first.site in DURABILITY_SITES
             assert first.hit >= 1
@@ -47,10 +47,10 @@ class TestTrialDerivation:
 class TestBoundedTrial:
     def test_post_fsync_crash_trial_digests_agree(self, tmp_path):
         """One full trial: seeded crash, offline replay, restart with
-        recovery, clean drain, cross-core replay — four equal digests."""
+        recovery, clean drain, replay on the reference manager — four
+        equal digests."""
         spec = SoakTrialSpec(
-            seed=3, site="post-fsync", hit=3, core="array", requests=12,
-            topology=TOPOLOGY,
+            seed=3, site="post-fsync", hit=3, requests=12, topology=TOPOLOGY
         )
         result = run_trial(spec, tmp_path)
         assert result.crashed
@@ -63,7 +63,7 @@ class TestBoundedTrial:
             result.offline_digest
             == result.recovered_digest
             == result.drained_digest
-            == result.cross_core_digest
+            == result.reference_digest
         )
 
 

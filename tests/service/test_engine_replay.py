@@ -1,18 +1,35 @@
 """Engine determinism: batches, replay, recovery and core crossing."""
 
+import json
 import random
 
 import pytest
 
+from repro.channels import NetworkManager
+from repro.cli import main
 from repro.errors import SimulationError
 from repro.parallel.jobs import TopologySpec
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
 from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.protocol import Request
-from repro.service.replay import export_campaign, recover_engine, replay_log
-from repro.service.wal import ReplayLogReader, ReplayLogWriter
+from repro.service.replay import (
+    export_campaign,
+    recover_engine,
+    reference_replay_digest,
+    replay_log,
+)
+from repro.service.wal import ReplayLogReader, ReplayLogWriter, decode_record, encode_record
 
 GRID = TopologySpec(kind="grid", capacity=1000.0, seed=0, nodes=4, cols=4)
+
+
+def _engine(core: str) -> ServiceEngine:
+    """A fresh engine; ``"object"`` swaps in the reference manager."""
+    engine = ServiceEngine(GRID, EngineConfig())
+    if core == "object":
+        engine.manager = NetworkManager(engine.net)
+        engine.manager.record_trajectories = False
+    return engine
 
 
 def _qos(rng):
@@ -120,7 +137,7 @@ class TestBatchEqualsSequential:
     def test_cores_agree(self):
         digests = {}
         for core in ("object", "array"):
-            engine = ServiceEngine(GRID, EngineConfig(core=core))
+            engine = _engine(core)
             _drive(engine, batch=8)
             digests[core] = engine.digest()
         assert digests["object"] == digests["array"]
@@ -129,9 +146,9 @@ class TestBatchEqualsSequential:
     def test_answers_do_not_depend_on_trajectories(self, core):
         # The engine runs its manager without level trajectories; every
         # response and the state must be what a recording manager gives.
-        lean = ServiceEngine(GRID, EngineConfig(core=core))
+        lean = _engine(core)
         assert lean.manager.record_trajectories is False
-        full = ServiceEngine(GRID, EngineConfig(core=core))
+        full = _engine(core)
         full.manager.record_trajectories = True
         script = _script()
         assert _drive(lean, script, batch=8) == _drive(full, script, batch=8)
@@ -248,14 +265,25 @@ class TestReplayAndRecovery:
     def test_cross_core_replay(self, tmp_path):
         path, engine, digest = self._live_run(tmp_path)
         engine.close()
-        reader = ReplayLogReader(path)
-        other = ServiceEngine(
-            reader.topology, EngineConfig(core="object", manager_kwargs=reader.manager_kwargs)
+        assert reference_replay_digest(path) == digest
+
+    @pytest.mark.parametrize("core", ["object", "array", None])
+    def test_header_core_field_is_ignored(self, tmp_path, capsys, core):
+        """Logs whose header still names a manager core replay, and
+        cross-check, exactly like logs without the field."""
+        path, engine, digest = self._live_run(tmp_path)
+        engine.close()
+        header_line, rest = path.read_bytes().split(b"\n", 1)
+        header = decode_record(header_line)
+        assert "core" not in header
+        if core is not None:
+            header["core"] = core
+        path.write_bytes(  # repro-lint: disable=ART001 — header-variant fixture
+            encode_record(header) + rest
         )
-        for seq, request in reader.events():
-            other.seq = seq
-            other.apply_sequential(request)
-        assert other.digest() == digest
+        assert replay_log(path).digest == digest
+        assert main(["replay", str(path), "--cross-check"]) == 0
+        assert json.loads(capsys.readouterr().out)["cross_check_match"] is True
 
     def test_export_campaign_replays_identically(self, tmp_path):
         path, engine, digest = self._live_run(tmp_path)

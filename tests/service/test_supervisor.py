@@ -35,9 +35,9 @@ class TestStripChaosFlags:
     def test_removes_flag_value_pairs(self):
         argv = ["repro", "serve", "--chaos-crash", "post-listen:1",
                 "--wal", "x.log", "--chaos-seed", "7",
-                "--chaos-disk", "fsync-eio:2", "--core", "array"]
+                "--chaos-disk", "fsync-eio:2", "--batch-max", "8"]
         assert strip_chaos_flags(argv) == [
-            "repro", "serve", "--wal", "x.log", "--core", "array"
+            "repro", "serve", "--wal", "x.log", "--batch-max", "8"
         ]
 
     def test_noop_without_chaos_flags(self):

@@ -85,7 +85,7 @@ class TestWriterReader:
         reader = ReplayLogReader(path)
         assert reader.topology == GRID
         assert reader.manager_kwargs == {"policy": "greedy"}
-        assert reader.core == "array"
+        assert "core" not in reader.header
         assert reader.clean_shutdown and not reader.torn_tail
         assert [seq for seq, _ in reader.events()] == [0, 1, 2]
         assert reader.epoch_ends() == [2]
@@ -154,7 +154,7 @@ class TestWriterReader:
     def test_unsupported_version_raises(self, tmp_path):
         path = tmp_path / "wal.log"
         header = {
-            "type": "header", "version": 99, "core": "array",
+            "type": "header", "version": 99,
             "topology": topology_to_dict(GRID), "manager": {},
         }
         path.write_bytes(  # repro-lint: disable=ART001 — deliberate bad-log fixture

@@ -195,7 +195,7 @@ def reference_sharing(manager, conn_ids):
     return sharing
 
 
-def drive(core: str, seed: int = 11, events: int = 600):
+def drive(factory, seed: int = 11, events: int = 600):
     """Seeded churn with link failures; every impact goes to the estimator.
 
     Returns the estimator and, per failure event, what
@@ -203,7 +203,7 @@ def drive(core: str, seed: int = 11, events: int = 600):
     some of which the failure dropped or moved onto their backups.
     """
     net = grid_network(4, 4, capacity=1000.0)
-    manager = make_manager(net, core=core)
+    manager = factory(net)
     estimator = TransitionEstimator(
         num_levels=5, arrival_rate=1.0, termination_rate=1.0, failure_rate=0.1,
         sample_interval=2,
@@ -245,8 +245,8 @@ def drive(core: str, seed: int = 11, events: int = 600):
 
 class TestBothCoresWithFailures:
     def test_counts_equal_across_cores_and_pinned(self):
-        obj, _ = drive("object")
-        arr, _ = drive("array")
+        obj, _ = drive(NetworkManager)
+        arr, _ = drive(make_manager)
         for est in (obj, arr):
             assert est.a_counts.tolist() == PINNED["a"]
             assert est.b_counts.tolist() == PINNED["b"]
@@ -256,8 +256,8 @@ class TestBothCoresWithFailures:
             assert est.ps == PINNED["ps"]
 
     def test_walk_over_dropped_and_failed_over(self):
-        _, walks_obj = drive("object")
-        _, walks_arr = drive("array")
+        _, walks_obj = drive(NetworkManager)
+        _, walks_arr = drive(make_manager)
         assert walks_obj == walks_arr
         # The scenario really contains both hazards: direct channels
         # that are gone after the event, and ones now on their backup

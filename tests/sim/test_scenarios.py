@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import QoSSpecError
+from repro.faults.audit import AuditPolicy
 from repro.sim.scenarios import bandwidth_tiers, utility_classes, video_mix
 from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
 from repro.topology.regular import complete_network
@@ -76,7 +77,7 @@ class TestScenarioDrivesSimulator:
             warmup_events=20,
             measure_events=120,
             qos_factory=video_mix(),
-            check_invariants_every=20,
+            audit=AuditPolicy(every_n_events=20),
         )
         result = ElasticQoSSimulator(net, config, seed=9).run()
         assert result.initial_population > 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
+from repro.faults.audit import AuditPolicy
 from repro.sim.simulator import ElasticQoSSimulator, SimulationConfig
 from repro.sim.workload import WorkloadConfig
 from repro.topology.regular import complete_network, ring_network
@@ -16,7 +17,7 @@ def small_config(contract, **overrides):
         warmup_events=20,
         measure_events=60,
         sample_interval=5,
-        check_invariants_every=10,
+        audit=AuditPolicy(every_n_events=10),
     )
     base.update(overrides)
     return SimulationConfig(**base)

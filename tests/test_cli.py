@@ -106,7 +106,7 @@ class TestBenchCommand:
     def test_bench_timing(self, capsys):
         code = main(
             ["bench", "--benchmark", "request", "--events", "20",
-             "--population", "40", "--core", "array"]
+             "--population", "40"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -120,9 +120,9 @@ class TestBenchCommand:
         )
         out = capsys.readouterr().out
         assert code == 0
-        dump = tmp_path / "bench_failrep_array.prof.txt"
+        dump = tmp_path / "bench_failrep.prof.txt"
         assert dump.exists()
         text = dump.read_text()
         assert "cumulative" in text
-        assert "repro bench --profile: failrep / array core" in text
+        assert "repro bench --profile: failrep" in text
         assert str(dump) in out
