@@ -1,12 +1,8 @@
 """DR-connection records and the central network manager.
 
-* :class:`ArrayNetworkManager` — the struct-of-arrays core (NumPy
-  columns, integer handles): the one production core, built by
-  :func:`make_manager`.
-* :class:`NetworkManager` — the per-object core (``LinkState``
-  dataclasses, ``DRConnection`` records), kept only as the reference
-  oracle the twin suite, ``repro replay --cross-check`` and the chaos
-  soak compare against.  Bitwise-equivalent to the array core.
+:class:`ArrayNetworkManager` is the struct-of-arrays core (NumPy
+columns, integer handles), built by :func:`make_manager`.  The plain
+reference it is checked against lives in :mod:`repro.reference`.
 """
 
 from __future__ import annotations
@@ -15,7 +11,6 @@ from typing import Any
 
 from repro.channels.array_manager import ArrayNetworkManager
 from repro.channels.digest import AnyManager, manager_state_digest, manager_state_summary
-from repro.channels.manager import NetworkManager
 from repro.channels.records import (
     ROUTING_ENGINES,
     ConnectionState,
@@ -43,7 +38,6 @@ __all__ = [
     "ROUTING_ENGINES",
     "AnyManager",
     "ArrayNetworkManager",
-    "NetworkManager",
     "make_manager",
     "manager_state_digest",
     "manager_state_summary",

@@ -1,7 +1,7 @@
 """Array-backed network manager over struct-of-arrays state.
 
 :class:`ArrayNetworkManager` is the SoA twin of
-:class:`~repro.channels.manager.NetworkManager`: the same operational
+:class:`~repro.reference.ReferenceManager`: the same operational
 rules (§3.1 of the paper), the same public surface, the same event
 semantics — but every reservation lives in the NumPy columns of a
 :class:`~repro.network.link_table.LinkTable` and every connection in a
@@ -9,17 +9,17 @@ semantics — but every reservation lives in the NumPy columns of a
 integer handle.  The hot per-event sweeps (extras reclamation, the
 elastic water-fill, candidate collection, measurement reductions) are
 vectorized; cold control flow (backup multiplexing, failover decisions)
-stays scalar and mirrors the object core statement for statement.
+stays scalar and mirrors the reference statement for statement.
 
 Equivalence contract: driven through an identical event sequence, this
-manager and the object manager produce **bitwise-identical** routes,
+manager and the reference produce **bitwise-identical** routes,
 grants, drops, statistics and per-link float state (twin-manager tests
 pin this, with fault injection on and off).  The contract is exact on
 the paper's dyadic bandwidth grid; see :mod:`repro.elastic.array_fill`
 for the one caveat on off-grid bandwidths.
 
-The object manager is the reference oracle; this class is the one
-production core (``repro.channels.make_manager`` builds it).
+The reference (:mod:`repro.reference`) is the oracle; this class is
+the one production core (``repro.channels.make_manager`` builds it).
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from repro.errors import (
     ReservationError,
     SimulationError,
 )
-from repro.network.link_state import EPSILON
 from repro.network.link_table import LinkTable
 from repro.qos.spec import ConnectionQoS, ElasticQoS
 from repro.routing.cache import (
@@ -74,6 +73,7 @@ from repro.routing.disjoint import disjoint_path, maximally_disjoint_path
 from repro.routing.flooding import flooding_route_pair
 from repro.routing.shortest import _check_endpoints, bfs_path_rows
 from repro.topology.graph import Link, LinkId, Network
+from repro.units import EPSILON
 
 _ACTIVE = STATE_CODE[ConnectionState.ACTIVE]
 _FAILED_OVER = STATE_CODE[ConnectionState.FAILED_OVER]
@@ -83,8 +83,8 @@ class ArrayLinkView:
     """Read-only per-link view over the :class:`LinkTable` columns.
 
     Duck-type compatible with the aggregate properties of
-    :class:`~repro.network.link_state.LinkState` (diagnostics, tests);
-    the per-connection dicts of the object core have no SoA equivalent.
+    :class:`~repro.reference.Link` (diagnostics, tests);
+    the per-connection dicts of the reference have no SoA equivalent.
     """
 
     __slots__ = ("_t", "_i", "link")
@@ -137,7 +137,7 @@ class ArrayLinkView:
 class ArrayNetworkState:
     """Failure bookkeeping + compat facade over a :class:`LinkTable`.
 
-    Mirrors the parts of :class:`~repro.network.state.NetworkState` the
+    Mirrors the parts of :class:`~repro.reference.State` the
     simulator, the fault injectors and the route layer consume:
     generation counter, sorted alive/failed link lists (incrementally
     maintained, bitwise-deterministic victim picks), adjacency rows —
@@ -158,7 +158,7 @@ class ArrayNetworkState:
 
     # -- link access ----------------------------------------------------
     def link(self, lid: LinkId) -> ArrayLinkView:
-        """Per-link diagnostic view (compat with ``NetworkState.link``)."""
+        """Per-link diagnostic view (compat with ``State.link``)."""
         return ArrayLinkView(self.table, self.table.index_of(lid))
 
     def adjacency_rows(self) -> ArrayAdjacencyRows:
@@ -190,8 +190,7 @@ class ArrayNetworkState:
     # The column toggles are inlined (rather than calling
     # ``LinkTable.fail``/``repair``) because a fail/repair pair on an
     # otherwise idle manager is the hot constant-overhead path of the
-    # failure benchmarks; the extra call layers measurably lose to the
-    # object core's attribute flip.
+    # failure benchmarks, where the extra call layers were measurable.
     def fail_link(self, lid: LinkId) -> None:
         table = self.table
         try:
@@ -223,8 +222,8 @@ class ArrayNetworkState:
         self.generation += 1
 
     # -- diagnostics ----------------------------------------------------
-    # Summed in link order, as ``NetworkState`` does, so the cores agree
-    # bitwise (``np.sum`` would sum pairwise).
+    # Summed in link order, as the reference's ``State`` does, so the
+    # two agree bitwise (``np.sum`` would sum pairwise).
     def total_used(self) -> float:
         return sum(self.table.used().tolist())
 
@@ -471,8 +470,9 @@ class ArrayNetworkManager:
         self.activation_fault_prob: float = 0.0
         self._fault_rng = None
         self.auto_redistribute = True
-        #: See the object core: False leaves ``EventImpact.direct`` /
-        #: ``indirect_changed`` empty and skips the work of building them.
+        #: When False, events leave ``EventImpact.direct`` /
+        #: ``indirect_changed`` empty and skip the work of building them;
+        #: state, statistics and every other impact field are unaffected.
         self.record_trajectories = True
 
     # ------------------------------------------------------------------
@@ -526,7 +526,7 @@ class ArrayNetworkManager:
 
         One hop of the channel-overlap relation, on handles.  Ids that
         are no longer live are skipped; a failed-over connection still
-        contributes its former primary's links (see the object core).
+        contributes its former primary's links (see the reference).
         """
         h_of = self._h_of
         path_py = self.conns.path_py
@@ -637,7 +637,7 @@ class ArrayNetworkManager:
         return ArrayConnView(self, h), impact
 
     def _reserve_primary_checked(self, prim_idx: np.ndarray, b_min: float) -> None:
-        """Reserve a primary's minimum with the object core's guards."""
+        """Reserve a primary's minimum with the reference's guards."""
         t = self.links
         t.refresh_aggregates()
         headroom = t.headroom[prim_idx]
@@ -658,7 +658,7 @@ class ArrayNetworkManager:
 
         The per-link extras columns accumulate the reclamations in
         ascending conn-id order (``np.add.at`` is sequential in array
-        order), matching the object core's sorted per-channel loop.
+        order), matching the reference's sorted per-channel loop.
         """
         sets = self._prims_on
         groups = [sets[li] for li in prim_idx.tolist() if sets[li]]
@@ -694,7 +694,7 @@ class ArrayNetworkManager:
     def _select_routes(
         self, source: int, destination: int, qos: ConnectionQoS
     ) -> Tuple[Optional[RoutePlan], Optional[List[int]], Optional[BackupPlan]]:
-        """Pick routes with the configured engine (see the object core).
+        """Pick routes with the configured engine (``routing``).
 
         Returns ``(primary plan, backup node path, backup plan)``.  The
         primary plan is the cache's shared precompiled candidate on a
@@ -903,7 +903,8 @@ class ArrayNetworkManager:
     # failures
     # ------------------------------------------------------------------
     def set_activation_faults(self, probability: float, rng) -> None:
-        """Enable injected backup-activation faults (see the object core)."""
+        """Each usable backup activation fails with ``probability``
+        (draws from ``rng``, so campaigns stay seed-deterministic)."""
         if not 0.0 <= probability <= 1.0:
             raise FaultInjectionError(
                 f"activation fault probability must be in [0, 1], got {probability}"
@@ -1178,7 +1179,7 @@ class ArrayNetworkManager:
 
         The link-level pass hands :meth:`LinkTable.check_invariants` the
         raw per-connection contributions — it never trusts a maintained
-        column, mirroring the object core's cache-vs-recount discipline
+        column, mirroring the reference's cache-vs-recount discipline
         at whole-array granularity.
         """
         conns = self.conns

@@ -32,6 +32,7 @@ import numpy as np
 from repro.channels.records import ConnectionState
 from repro.qos.spec import ConnectionQoS
 from repro.topology.graph import LinkId
+from repro.units import EPSILON
 
 __all__ = ["ConnectionTable", "STATE_CODE", "CODE_STATE"]
 
@@ -102,7 +103,7 @@ class ConnectionTable:
         self.destination = np.zeros(n, dtype=_I8)
         #: Accumulated elastic extra per *path link* (uniform along the
         #: path by construction); tracks the exact float trajectory of
-        #: the object core's per-link ``primary_extra[cid]`` entries.
+        #: the reference's per-link ``primary_extra[cid]`` entries.
         self.conn_extra = np.zeros(n, dtype=_F8)
         # -- CSR paths (dense link indices / node ids) ------------------
         self.prim_start = np.zeros(n, dtype=_I8)
@@ -177,7 +178,7 @@ class ConnectionTable:
             self._grow()
         h = self._free.pop()
         perf = qos.performance
-        threshold = perf.increment - 1e-6  # EPSILON, see link_state
+        threshold = perf.increment - EPSILON
         self.conn_id[h] = conn_id
         self.level[h] = 0
         self.b_min[h] = perf.b_min
@@ -309,7 +310,7 @@ class ConnectionTable:
     def average_live_bandwidth(self) -> float:
         """Mean reserved bandwidth per live connection.
 
-        Exact-equality contract with the object core: NumPy's pairwise
+        Exact-equality contract with the reference: NumPy's pairwise
         summation and the object's sequential ``sum()`` agree bitwise
         whenever all bandwidths lie on the paper's dyadic grid
         (multiples of 50 Kb/s) — every sum is then exact in float64.

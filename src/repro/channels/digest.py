@@ -1,4 +1,4 @@
-"""Bitwise state digest shared by both manager cores.
+"""Bitwise state digest of a network manager.
 
 The crash-recovery story of :mod:`repro.service` needs a compact,
 core-agnostic answer to "are these two managers in *exactly* the same
@@ -19,12 +19,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Union
+from typing import TYPE_CHECKING, Any, Dict, Union
 
 from repro.channels.array_manager import ArrayNetworkManager
-from repro.channels.manager import NetworkManager
 
-AnyManager = Union[NetworkManager, ArrayNetworkManager]
+if TYPE_CHECKING:
+    from repro.reference import ReferenceManager
+
+#: The production core or the reference (:mod:`repro.reference`).
+AnyManager = Union[ArrayNetworkManager, "ReferenceManager"]
 
 
 def _hexfloat(value: float) -> str:
@@ -60,7 +63,6 @@ def manager_state_summary(manager: AnyManager) -> Dict[str, Any]:
                 bool(t.failed[li]),
             ]
     else:
-        assert isinstance(manager, NetworkManager)
         for lid in sorted(manager.state.topology.link_ids()):
             ls = manager.state.link(lid)
             links[str(list(lid))] = [

@@ -77,16 +77,6 @@ class DRConnection:
     state: ConnectionState = ConnectionState.ACTIVE
     on_backup: bool = False
     established_at: float = 0.0
-    #: Performance memo owned by the redistribution engine: the resolved
-    #: per-link reservation states of ``primary_links`` plus the QoS
-    #: level scalars, stored as ``(primary_links reference,
-    #: [LinkState, ...], max_level, increment, increment - EPSILON)``
-    #: and validated by identity against the current ``primary_links``
-    #: (the route list is replaced wholesale on any reroute, never
-    #: mutated in place; the QoS contract is frozen).  The memo dies
-    #: with the record, so it cannot leak or outlive the connection.
-    link_state_memo: Optional[Tuple] = field(default=None, repr=False, compare=False)
-
     @property
     def elastic_qos(self) -> ElasticQoS:
         """The performance part of the contract (engine protocol hook)."""
@@ -189,7 +179,7 @@ class EventImpact:
 
 @dataclass
 class ManagerStats:
-    """Lifetime counters of a :class:`~repro.channels.manager.NetworkManager`."""
+    """Lifetime counters of a network manager."""
 
     requests: int = 0
     accepted: int = 0

@@ -1,4 +1,4 @@
-"""Elastic QoS run-time: adaptation policies and redistribution engine."""
+"""Elastic QoS run-time: adaptation policies (the fill is in ``array_fill``)."""
 
 from __future__ import annotations
 
@@ -9,13 +9,6 @@ from repro.elastic.policies import (
     UtilityProportional,
     policy_by_name,
 )
-from repro.elastic.redistribute import (
-    ElasticParticipant,
-    candidate_ids,
-    drop_to_minimum,
-    is_maximal,
-    redistribute,
-)
 
 __all__ = [
     "AdaptationPolicy",
@@ -23,9 +16,4 @@ __all__ = [
     "MaxUtility",
     "UtilityProportional",
     "policy_by_name",
-    "ElasticParticipant",
-    "candidate_ids",
-    "drop_to_minimum",
-    "is_maximal",
-    "redistribute",
 ]

@@ -1,19 +1,21 @@
 """Vectorized water-filling over struct-of-arrays state.
 
-Array-core twin of :mod:`repro.elastic.redistribute`: the same
+Production twin of :func:`repro.reference.fill`: the same
 increment-granular water-fill, rewritten as whole-wave sweeps over the
 :class:`~repro.network.link_table.LinkTable` /
 :class:`~repro.channels.conn_table.ConnectionTable` columns instead of
 per-connection Python iteration.
 
-Bitwise contract.  The object core's equal-share fill processes level
-"waves" over cid-sorted buckets; each member, at its turn, is granted
-one increment iff every link of its path still has spare ≥ its
-threshold.  This module performs the *same grants in the same order*:
+Bitwise contract.  Under equal share the reference's fill (priority
+``(level, cid)``) processes level "waves" over cid-sorted buckets;
+each member, at its turn, is granted one increment iff every link of
+its path still has spare ≥ its threshold.  This module performs the
+*same grants in the same order*:
 
 * a wave's members are gathered in ascending conn-id order, and their
-  per-link spare is the exact left-to-right expression of the object
-  core (``capacity - min - activated - extra``), evaluated elementwise;
+  per-link spare is the exact left-to-right expression of the
+  reference (``capacity - min - activated - extra``), evaluated
+  elementwise;
 * members failing the wave-entry spare test are dropped permanently —
   spares only shrink inside a round, so they would fail at their turn
   in the sequential fill too;
@@ -24,7 +26,7 @@ threshold.  This module performs the *same grants in the same order*:
   its own Δ)``, which the condition bounds below by its threshold).
   The grant uses ``np.add.at`` — unbuffered, applied in array order —
   so each link's extra total accumulates member contributions in conn-id
-  order, the object core's exact float trajectory;
+  order, the reference's exact float trajectory;
 * waves whose contention analysis fails fall back to sequential scalar
   processing of that whole wave (identical arithmetic, just slower) —
   correctness never depends on the fast path applying.
@@ -45,6 +47,7 @@ import numpy as np
 
 from repro.elastic.policies import AdaptationPolicy, EqualShare
 from repro.network.link_table import LinkTable
+from repro.units import EPSILON
 
 if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle at runtime
     from repro.channels.conn_table import ConnectionTable
@@ -254,7 +257,7 @@ def _fill_equal_share_soa(
             # Provably contention-free.  Grant k whole rounds at once:
             # k is bounded by every member's remaining headroom, by the
             # gap to the next populated level (so wave merge order — the
-            # object core's grant order — is preserved), and by each
+            # reference's grant order — is preserved), and by each
             # link's room for k rounds of the wave's demand (round j is
             # safe iff ``spare - j*demand + Δ_min ≥ thr_max``; worst at
             # j = k, and that bound also implies every member re-passes
@@ -272,7 +275,7 @@ def _fill_equal_share_soa(
                     k -= 1  # float-division edge: back off conservatively
             # Each round is its own unbuffered add: per-link
             # accumulation order = cid order within the round, rounds in
-            # sequence — the object core's exact float trajectory.
+            # sequence — the reference's exact float trajectory.
             hs_ok = hs[ok_idx]
             for _round in range(k):
                 np.add.at(extra, flat_ok, demand_rep)
@@ -308,7 +311,7 @@ def _python_fill(
     the :class:`ConnectionTable` Python mirrors (immutable per
     allocation, no gather needed); only the mutable state — levels,
     accumulated extras, link columns — is snapshotted per fill.  Probe
-    and grant arithmetic is the object core's exact expression order
+    and grant arithmetic is the reference's exact expression order
     over IEEE doubles, so the trajectory is bitwise identical.
 
     The upfront min-spare cull of the vectorized path is deliberately
@@ -400,12 +403,12 @@ def _python_tail(
     Sequential grant order now matters, and for wave sizes in the tens,
     plain-Python float arithmetic over list snapshots is an order of
     magnitude cheaper per operation than NumPy scalar indexing.  Python
-    floats *are* IEEE doubles, and the ops below mirror the object
-    core's expression order exactly, so the trajectory stays bitwise
+    floats *are* IEEE doubles, and the ops below mirror the
+    reference's expression order exactly, so the trajectory stays bitwise
     identical.  Only ``primary_extra`` mutates during a fill, so the
     other link columns are snapshotted once as the combined base
     ``capacity - primary_min - activated`` (same left-to-right
-    association as the object core's spare expression).
+    association as the reference's spare expression).
     """
     n = len(hs)
     spare_base = (links.capacity - links.primary_min - links.activated).tolist()
@@ -483,7 +486,7 @@ def _fill_by_priority_soa(
     """Generic heap fill for arbitrary priority rules (scalar columns).
 
     Pop order is a total order on ``(priority, cid)`` — identical to the
-    object core's heap — and every grant applies the same float ops to
+    reference's heap — and every grant applies the same float ops to
     the same columns, so the result is bitwise equal by construction.
     """
     priority = policy.priority
@@ -553,7 +556,7 @@ def drop_to_minimum_soa(
         links.refresh_cells(path)
         conns.conn_extra[h] = 0.0
     conns.level[h] = 0
-    if freed > 1e-6:  # EPSILON, see link_state
+    if freed > EPSILON:
         return previous, path
     return previous, _EMPTY_IDX
 

@@ -9,7 +9,8 @@ The paper's own experiments use equal utilities "for fair distribution
 of resources".
 
 All three are implemented as priority rules driving one increment-at-a-
-time water-filling (:mod:`repro.elastic.redistribute`): the engine
+time water-filling (:func:`repro.reference.fill`, vectorized in
+:mod:`repro.elastic.array_fill`): the engine
 repeatedly grants one increment Δ to the *lowest-priority-value*
 eligible channel until no channel can be raised.  A policy therefore
 only has to rank channels.

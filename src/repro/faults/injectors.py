@@ -33,10 +33,10 @@ import numpy as np
 
 from repro.channels.records import EventImpact
 from repro.errors import FaultInjectionError
-from repro.network.state import NetworkState
 from repro.topology.graph import LinkId, Network
 
-if TYPE_CHECKING:  # import would be circular at runtime (sim -> faults)
+if TYPE_CHECKING:  # imports would be circular at runtime (sim -> faults)
+    from repro.channels.array_manager import ArrayNetworkState
     from repro.sim.workload import Workload
 
 #: Supported failure processes.
@@ -118,11 +118,11 @@ class FaultInjector:
         self.workload = workload
 
     # -- category rates -------------------------------------------------
-    def failure_rate(self, state: NetworkState) -> float:
+    def failure_rate(self, state: ArrayNetworkState) -> float:
         """Total failure-event rate given the current state (γ·alive)."""
         return self.workload.config.link_failure_rate * state.num_alive
 
-    def repair_rate(self, state: NetworkState) -> float:
+    def repair_rate(self, state: ArrayNetworkState) -> float:
         """Total repair-event rate given the current state (ρ·failed)."""
         return self.workload.config.repair_rate * state.num_failed
 
@@ -212,7 +212,7 @@ class CorrelatedBurstInjector(FaultInjector):
         return manager.fail_links(burst)
 
     def _grow(
-        self, state: NetworkState, burst: Sequence[LinkId], chosen: Set[LinkId]
+        self, state: ArrayNetworkState, burst: Sequence[LinkId], chosen: Set[LinkId]
     ) -> Optional[LinkId]:
         """Pick the next burst member, or ``None`` when the pool is dry."""
         if self.config.burst_kernel == "shared-node":
@@ -278,10 +278,10 @@ class MarkovOnOffInjector(FaultInjector):
         self._alive_weight = sum(self.multipliers.values())
         self._failed_weight = 0.0
 
-    def failure_rate(self, state: NetworkState) -> float:
+    def failure_rate(self, state: ArrayNetworkState) -> float:
         return self.workload.config.link_failure_rate * self._alive_weight
 
-    def repair_rate(self, state: NetworkState) -> float:
+    def repair_rate(self, state: ArrayNetworkState) -> float:
         return self.workload.config.repair_rate * self._failed_weight
 
     def _weighted_pick(self, pool: Sequence[LinkId], total: float) -> LinkId:

@@ -17,7 +17,8 @@ These rules check invariants no single file can witness:
   in the same function; the ``failed``/``failed_py`` mirror never
   splits.  Receiver types are proven (annotations, constructor
   assignments) before a write is attributed to ``LinkTable`` — the
-  object core has *dict* attributes with the same names, and a
+  reference's :class:`~repro.reference.Link` has *dict* attributes with
+  the same names, and a
   name-only match would drown the rule in false positives.
 
 Soundness: the call graph and type inference under-approximate, so

@@ -1,8 +1,8 @@
-"""Run-time resource accounting: per-link and network-wide reservations."""
+"""Run-time resource accounting: the struct-of-arrays link table."""
 
 from __future__ import annotations
 
-from repro.network.link_state import EPSILON, LinkState
-from repro.network.state import NetworkState
+from repro.network.link_table import LinkTable
+from repro.units import EPSILON
 
-__all__ = ["EPSILON", "LinkState", "NetworkState"]
+__all__ = ["EPSILON", "LinkTable"]

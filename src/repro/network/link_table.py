@@ -1,8 +1,8 @@
 """Struct-of-arrays (SoA) link reservation state.
 
 :class:`LinkTable` is the array-backed twin of the per-object
-:class:`~repro.network.link_state.LinkState` dictionary world: every
-aggregate a :class:`LinkState` maintains as a cached Python float
+:class:`~repro.reference.Link` dictionary world: every
+aggregate a :class:`~repro.reference.Link` maintains as a cached Python float
 (``primary_min_total``, ``primary_extra_total``, ``activated_total``,
 ``backup_reserved``) becomes one preallocated NumPy ``float64`` column
 indexed by a **dense link index** (the position of the link in
@@ -12,9 +12,9 @@ spare-capacity sweeps over redistribution candidates — become single
 vectorized expressions instead of per-link property chains.
 
 Bitwise contract (the twin-manager tests pin this): every float the
-object core computes is reproduced by the *same* sequence of float
+reference computes is reproduced by the *same* sequence of float
 operations.  ``admission_headroom`` is ``((capacity - primary_min) -
-backup_reserved) - activated`` exactly as ``LinkState`` evaluates it
+backup_reserved) - activated`` exactly as ``Link`` evaluates it
 left to right; extras are granted by adding the same ``Δ`` in the same
 order (NumPy ``ufunc.at`` is unbuffered and applies element operations
 in array order).  The backup *multiplexing* bookkeeping — the per-link
@@ -26,8 +26,8 @@ reserve/release, never in the vectorized sweeps.
 recomputes the aggregates from the raw per-connection data handed in by
 the caller (the :class:`~repro.channels.conn_table.ConnectionTable`),
 then cross-checks the columns against the recomputation — the same
-"caches must match a from-scratch sum" discipline the object core's
-``LinkState.check_invariants`` applies, at whole-array granularity.
+"caches must match a from-scratch sum" discipline the reference's
+``Link.check_invariants`` applies, at whole-array granularity.
 
 Materialized aggregates (PR 7).  ``spare`` and ``headroom`` hold the
 two derived quantities the hot paths interrogate constantly —
@@ -53,8 +53,8 @@ from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import AdmissionError, ReservationError, TopologyError
-from repro.network.link_state import EPSILON
 from repro.topology.graph import LinkId, Network
+from repro.units import EPSILON
 
 __all__ = ["LinkTable"]
 
@@ -193,7 +193,7 @@ class LinkTable:
 
         ``capacity - primary_min - activated - primary_extra`` evaluated
         left to right — the exact expression (and float trajectory) of
-        ``LinkState.spare_for_extras`` — served from the materialized
+        ``Link.spare_for_extras`` — served from the materialized
         column.  Returns a copy: callers may mutate base columns next.
         """
         if self._agg_dirty:
@@ -211,7 +211,7 @@ class LinkTable:
         return self.primary_min + self.primary_extra + self.activated
 
     def primary_admission_mask(self, b_min: float) -> np.ndarray:
-        """Boolean per-link mask of ``LinkState.can_admit_primary``.
+        """Boolean per-link mask of ``Link.can_admit_primary``.
 
         ``True`` where a new primary with minimum ``b_min`` fits: the
         link is alive and ``b_min <= admission_headroom + EPSILON``.
@@ -243,7 +243,7 @@ class LinkTable:
 
         The caller performed the admission test (mask or scalar); a
         violation here is a programming error, mirroring
-        ``LinkState.add_primary``.
+        ``Link.add_primary``.
         """
         if b_min <= 0:
             raise ReservationError(f"primary minimum must be positive, got {b_min}")
@@ -279,7 +279,7 @@ class LinkTable:
         ``np.add.at`` is unbuffered and applies the subtractions in
         array order — the same scalar trajectory as a Python loop over
         ``(flat_idx, amounts)`` pairs — so batched reclamation stays
-        bitwise-equal to the object core's per-channel ``drop_extra``.
+        bitwise-equal to the reference's per-channel ``drop_extra``.
         """
         np.add.at(self.primary_extra, flat_idx, -amounts)
         self.refresh_cells(flat_idx)
@@ -289,7 +289,7 @@ class LinkTable:
 
         Fancy-indexed ``+=`` over a simple path (no repeated links) is
         one independent scalar add per cell — the same float trajectory
-        as the object core's per-link loop.
+        as the reference's per-link loop.
         """
         self.primary_min[path_idx] += b_min
         self.refresh_cells(path_idx)
@@ -331,7 +331,7 @@ class LinkTable:
     def can_admit_backup(
         self, li: int, b_min: float, primary_links: FrozenSet[LinkId]
     ) -> bool:
-        """Scalar twin of ``LinkState.can_admit_backup`` (invariant 2)."""
+        """Scalar twin of ``Link.can_admit_backup`` (invariant 2)."""
         if self.failed_py[li]:
             return False
         growth = self.backup_reserved_with(li, b_min, primary_links) - float(

@@ -2,13 +2,13 @@
 
 All searches run over compact adjacency rows (see
 :meth:`repro.topology.graph.Network.adjacency_rows`); the
-generation-invalidated candidate cache used by the network manager
+candidate-route memo used by the network manager
 lives in :mod:`repro.routing.cache`.
 """
 
 from __future__ import annotations
 
-from repro.routing.cache import NO_ROUTE, RouteAnswer, RouteCache
+from repro.routing.cache import NO_ROUTE, ArrayRouteCache
 from repro.routing.disjoint import (
     disjoint_path,
     maximally_disjoint_path,
@@ -39,8 +39,7 @@ from repro.routing.shortest import (
 
 __all__ = [
     "NO_ROUTE",
-    "RouteAnswer",
-    "RouteCache",
+    "ArrayRouteCache",
     "bfs_path_rows",
     "dijkstra_path_rows",
     "maximally_disjoint_path",

@@ -1,22 +1,19 @@
-"""Generation-invalidated candidate-route cache.
+"""Candidate-route memo of the network manager.
 
 Route selection is the dominant cost of connection establishment: every
 arrival runs an admission-filtered BFS for the primary and another for
 the disjoint backup.  But the *raw* topology those searches run over
 only changes on ``fail_link``/``repair_link`` — arrivals and
-terminations change load, not connectivity.  This cache exploits that:
+terminations change load, not connectivity.  :class:`ArrayRouteCache`
+exploits that:
 
 * per ``(source, destination)`` pair it lazily enumerates the raw
-  live-topology candidate routes in ``(hops, node-sequence)`` order
-  (Yen's, via :func:`repro.routing.ksp.paths_iter_rows`), remembering
-  each candidate's links and live :class:`LinkState` objects;
+  candidate routes in ``(hops, node-sequence)`` order (Yen's, via
+  :func:`repro.routing.ksp.paths_iter_rows`), each precompiled into a
+  :class:`RoutePlan`;
 * an arrival re-checks *admission* (which is load-dependent) against
-  the cached candidates, cheap per-link predicate calls instead of a
-  graph search;
-* every ``fail_link``/``repair_link`` bumps
-  :attr:`NetworkState.generation`, and entries from an older generation
-  are discarded on first touch — candidates never outlive the topology
-  they were computed on.
+  the cached candidates, cheap per-link headroom reads instead of a
+  graph search.
 
 Correctness contract (why cached answers equal a from-scratch search):
 the admission-filtered BFS returns the ``(hops, lex)``-least path of
@@ -28,27 +25,23 @@ passes, the cache answers "unknown" and the caller falls back to the
 real filtered search — cache misses can cost a little, but can never
 change a route.  When the enumeration is exhausted without a hit, there
 is *no* admissible path at all and the cache answers that definitively.
-
-:class:`RouteCache` (object core) is exactly the above and doubles as
-the twin-test oracle.  :class:`ArrayRouteCache` (array core) keeps the
-same contract but discards less: searches over the all-alive topology
-are never repeated, and only pairs a failure actually touches take a
-per-generation detour (see its docstring).
+The reference manager (:mod:`repro.reference`) runs the uncached
+searches, which is what the twin suite compares against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.network.link_state import EPSILON, LinkState
 from repro.network.link_table import LinkTable
-from repro.network.state import NetworkState
 from repro.routing.disjoint import maximally_disjoint_path
 from repro.routing.ksp import paths_iter_rows
 from repro.routing.shortest import bfs_path_rows
 from repro.topology.graph import LinkId, Network, link_id
+from repro.units import EPSILON
+
 
 class _NoRouteType:
     """Sentinel type of :data:`NO_ROUTE` (keeps lookups precisely typed)."""
@@ -62,178 +55,6 @@ class _NoRouteType:
 #: Definitive answer: no admissible route exists between the endpoints
 #: (the raw enumeration was exhausted without an admission hit).
 NO_ROUTE = _NoRouteType()
-
-#: One cached candidate: (node path, link ids, live link states).
-Candidate = Tuple[List[int], List[LinkId], List[LinkState]]
-
-#: ``primary_route`` answer: a (path, links) hit, the definitive
-#: :data:`NO_ROUTE` sentinel, or ``None`` ("unknown, fall back").
-RouteAnswer = Optional[Tuple[List[int], List[LinkId]] | _NoRouteType]
-
-#: Admission predicate over a live link state (load-dependent part).
-AdmitFn = Callable[[LinkState], bool]
-
-
-class _PairEntry:
-    """Candidate routes of one (source, destination) pair."""
-
-    __slots__ = ("generation", "candidates", "producer", "exhausted", "backups")
-
-    def __init__(self, generation: int, producer: Iterator[List[int]]) -> None:
-        self.generation = generation
-        self.producer = producer
-        self.candidates: List[Candidate] = []
-        self.exhausted = False
-        #: primary path (tuple) -> raw disjoint candidate or None when
-        #: the live topology has no fully disjoint path for it.
-        self.backups: Dict[Tuple[int, ...], Optional[Candidate]] = {}
-
-
-class RouteCache:
-    """Candidate-route cache over one topology + live network state.
-
-    Args:
-        topology: The (structurally immutable) network.
-        state: Live reservation/failure state; its ``generation``
-            counter drives invalidation.
-        probe_limit: How many raw candidates an arrival may check before
-            the caller must fall back to a full filtered search.  Keeps
-            rejection-heavy pairs from paying Yen's enumeration costs on
-            every arrival.
-        max_pairs: Safety valve on cache size; the cache is cleared
-            wholesale when exceeded (deterministic, and in practice
-            never hit on paper-scale topologies).
-    """
-
-    def __init__(
-        self,
-        topology: Network,
-        state: NetworkState,
-        probe_limit: int = 4,
-        max_pairs: int = 65536,
-    ) -> None:
-        if probe_limit < 1:
-            raise ValueError(f"probe_limit must be at least 1, got {probe_limit}")
-        self.topology = topology
-        self.state = state
-        self.probe_limit = probe_limit
-        self.max_pairs = max_pairs
-        self._pairs: Dict[Tuple[int, int], _PairEntry] = {}
-        #: Diagnostics: arrivals answered from cache vs. fallbacks.
-        self.hits = 0
-        self.fallbacks = 0
-
-    # ------------------------------------------------------------------
-    # entries
-    # ------------------------------------------------------------------
-    def _entry(self, source: int, destination: int) -> _PairEntry:
-        generation = self.state.generation
-        key = (source, destination)
-        entry = self._pairs.get(key)
-        if entry is None or entry.generation != generation:
-            if entry is None and len(self._pairs) >= self.max_pairs:
-                self._pairs.clear()
-            rows = self.state.adjacency_rows()
-            edge_ok = None
-            if self.state.failed_links:
-                edge_ok = lambda lid, ls: not ls.failed  # noqa: E731
-            entry = _PairEntry(
-                generation, paths_iter_rows(rows, source, destination, edge_ok)
-            )
-            self._pairs[key] = entry
-        return entry
-
-    def _candidate(self, entry: _PairEntry, index: int) -> Optional[Candidate]:
-        """The ``index``-th raw candidate, materializing lazily."""
-        while len(entry.candidates) <= index and not entry.exhausted:
-            path = next(entry.producer, None)
-            if path is None:
-                entry.exhausted = True
-                break
-            links = [link_id(a, b) for a, b in zip(path, path[1:])]
-            states = [self.state.link(lid) for lid in links]
-            entry.candidates.append((path, links, states))
-        if index < len(entry.candidates):
-            return entry.candidates[index]
-        return None
-
-    # ------------------------------------------------------------------
-    # lookups
-    # ------------------------------------------------------------------
-    def primary_route(
-        self, source: int, destination: int, admit: AdmitFn
-    ) -> RouteAnswer:
-        """First raw candidate passing ``admit`` on every link.
-
-        Returns ``(path, links)`` copies on a hit, :data:`NO_ROUTE` when
-        the exhausted enumeration proves no admissible route exists, or
-        ``None`` when the first ``probe_limit`` candidates all failed
-        admission (caller must fall back to a filtered search).
-        """
-        entry = self._entry(source, destination)
-        for index in range(self.probe_limit):
-            cand = self._candidate(entry, index)
-            if cand is None:
-                return NO_ROUTE
-            path, links, states = cand
-            admissible = True
-            for ls in states:
-                if not admit(ls):
-                    admissible = False
-                    break
-            if admissible:
-                self.hits += 1
-                return list(path), list(links)
-        self.fallbacks += 1
-        return None
-
-    def raw_disjoint_backup(
-        self,
-        source: int,
-        destination: int,
-        primary_path: Tuple[int, ...],
-        avoid: FrozenSet[LinkId],
-    ) -> Optional[Candidate]:
-        """Raw-topology fully-disjoint candidate for ``primary_path``.
-
-        The shortest live-topology path avoiding ``avoid`` entirely,
-        ignoring load; memoized per primary path.  ``None`` means no
-        fully disjoint live path exists at all — in that case an
-        admission-filtered disjoint search cannot succeed either, and
-        the caller may go straight to the maximally-disjoint fallback.
-        The returned candidate is shared; callers must copy before
-        mutating.
-        """
-        entry = self._entry(source, destination)
-        try:
-            return entry.backups[primary_path]
-        except KeyError:
-            pass
-        if len(entry.backups) >= 64:  # unbounded-primary-key guard
-            entry.backups.clear()
-        rows = self.state.adjacency_rows()
-        if self.state.failed_links:
-            edge_ok = lambda lid, ls: lid not in avoid and not ls.failed  # noqa: E731
-        else:
-            edge_ok = lambda lid, ls: lid not in avoid  # noqa: E731
-        path = bfs_path_rows(rows, source, destination, edge_ok)
-        candidate: Optional[Candidate] = None
-        if path is not None:
-            links = [link_id(a, b) for a, b in zip(path, path[1:])]
-            states = [self.state.link(lid) for lid in links]
-            candidate = (path, links, states)
-        entry.backups[primary_path] = candidate
-        return candidate
-
-    # ------------------------------------------------------------------
-    # maintenance / diagnostics
-    # ------------------------------------------------------------------
-    def clear(self) -> None:
-        """Drop every entry (tests / explicit invalidation)."""
-        self._pairs.clear()
-
-    def __len__(self) -> int:
-        return len(self._pairs)
 
 
 # ----------------------------------------------------------------------
@@ -311,14 +132,12 @@ _NONE_FAILED: FrozenSet[int] = frozenset()
 class ArrayRouteCache:
     """Candidate-route cache over a :class:`LinkTable` (SoA core).
 
-    Same enumeration and correctness contract as :class:`RouteCache`,
-    but candidates are precompiled :class:`RoutePlan` objects carrying
+    Candidates are precompiled :class:`RoutePlan` objects carrying
     dense link-index arrays and the derived sets an admission needs,
     and the admission re-check reads the table's materialized
     ``headroom`` column directly per candidate link.
 
-    Unlike :class:`RouteCache` it does not discard what a failure does
-    not touch.  Raw routes depend on connectivity, not load, and
+    The cache does not discard what a failure does not touch.  Raw routes depend on connectivity, not load, and
     removing links removes paths without reordering the rest: the
     ``(hops, lex)`` enumeration over the topology minus the failed
     links F *is* the all-alive enumeration minus the paths through F.
@@ -402,8 +221,7 @@ class ArrayRouteCache:
     ) -> Optional[RoutePlan | _NoRouteType]:
         """First precompiled candidate admitting a primary of ``b_min``.
 
-        Same answer contract as :meth:`RouteCache.primary_route`: a
-        shared :class:`RoutePlan` hit (treat as immutable),
+        A shared :class:`RoutePlan` hit (treat as immutable),
         :data:`NO_ROUTE` when the exhausted enumeration proves no
         admissible route exists, or ``None`` when all probed candidates
         failed (caller falls back to a search).
@@ -461,10 +279,13 @@ class ArrayRouteCache:
         avoid: FrozenSet[LinkId],
         generation: int,
     ) -> Optional[BackupPlan]:
-        """Raw-topology fully-disjoint backup plan (see :class:`RouteCache`).
+        """Raw-topology fully-disjoint backup plan for ``primary_path``.
 
-        ``None`` means no fully disjoint live path exists at all.  The
-        returned plan is shared; treat it as immutable.
+        The shortest live path avoiding ``avoid`` entirely, ignoring
+        load.  ``None`` means no fully disjoint live path exists at all:
+        an admission-filtered disjoint search cannot succeed either, and
+        the caller may go straight to the maximally-disjoint fallback.
+        The returned plan is shared; treat it as immutable.
         """
         if generation != self._generation:
             self._new_generation(generation)

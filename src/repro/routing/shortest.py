@@ -17,7 +17,7 @@ of calling ``neighbors()`` (which sorts) plus ``get_link()`` (a dict
 lookup) per edge.  The rows-based cores :func:`bfs_path_rows` and
 :func:`dijkstra_path_rows` are shared by the k-shortest enumeration,
 the disjoint backup search, and the manager's admission-aware searches
-(which use rows whose payload is the live ``LinkState``).  Links and
+(whose rows carry the link's dense table index).  Links and
 nodes a search must avoid go to :func:`bfs_path_rows` as sets, tested
 inline; a Python predicate per edge is only for what depends on the
 row payload.
@@ -60,7 +60,7 @@ LinkWeight = Callable[[Link], float]
 
 #: Rows-based edge predicate: ``(link_id, payload) -> usable?`` where the
 #: payload is whatever the rows carry (a ``Link`` for topology rows, a
-#: ``LinkState`` for live-state rows).
+#: dense link index for the array core's rows).
 EdgeFilter = Callable[[LinkId, object], bool]
 
 #: Rows-based edge cost: ``(link_id, payload) -> weight``.

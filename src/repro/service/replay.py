@@ -14,7 +14,7 @@ run is also an offline batch campaign:
   received but never durably logged before the crash are simply lost —
   their clients never got a response, which is the contract.
 * :func:`reference_replay_digest` replays the same log on the
-  reference core (:class:`~repro.channels.manager.NetworkManager`) —
+  reference manager (:class:`~repro.reference.ReferenceManager`) —
   the check behind ``repro replay --cross-check`` and the chaos soak's
   fourth digest.
 * :func:`export_campaign` normalizes a live log into a standalone
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.channels.manager import NetworkManager
 from repro.parallel.checkpoint import atomic_write_text
+from repro.reference import ReferenceManager
 from repro.service.chaos import DiskFaultPlan
 from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.wal import (
@@ -116,16 +116,16 @@ def _apply_log(engine: ServiceEngine, reader: ReplayLogReader) -> Tuple[int, int
 
 
 def reference_replay_digest(path: Union[str, Path]) -> str:
-    """Digest of the log replayed on the reference core.
+    """Digest of the log replayed on the reference manager.
 
     The engine's manager is swapped for a
-    :class:`~repro.channels.manager.NetworkManager` before any event is
-    applied; the two cores are bitwise twins, so the result must equal
-    :func:`replay_log`'s digest.
+    :class:`~repro.reference.ReferenceManager` before any event is
+    applied; the two are bitwise twins on the paper's dyadic bandwidth
+    grid, so the result must equal :func:`replay_log`'s digest.
     """
     reader = ReplayLogReader(path)
     engine = _fresh_engine(reader)
-    engine.manager = NetworkManager(engine.net, **engine.config.manager_kwargs)
+    engine.manager = ReferenceManager(engine.net, **engine.config.manager_kwargs)
     engine.manager.record_trajectories = False
     _apply_log(engine, reader)
     return engine.digest()

@@ -46,6 +46,11 @@ PAPER_FAILURE_RATES: tuple[float, ...] = (
     1e-2,
 )
 
+#: Numerical slack for capacity comparisons.  All paper bandwidths are
+#: exact binary floats (multiples of 50 Kb/s), so this only guards
+#: against pathological user inputs.
+EPSILON: float = 1e-6
+
 
 def mbps(value: float) -> float:
     """Convert a value given in Mb/s to the library unit (Kb/s)."""

@@ -8,20 +8,20 @@ from repro.analysis.chaining import (
     expected_arrival_chaining,
     snapshot_chaining,
 )
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.errors import EstimationError
 from repro.topology.regular import dumbbell_network, line_network
 
 
 class TestSnapshot:
     def test_empty_manager(self, ring6):
-        snap = snapshot_chaining(NetworkManager(ring6))
+        snap = snapshot_chaining(make_manager(ring6))
         assert snap.num_channels == 0
         assert snap.pf == snap.ps == 0.0
 
     def test_two_overlapping_channels(self, contract_no_backup):
         net = line_network(4, 1000.0)
-        manager = NetworkManager(net)
+        manager = make_manager(net)
         manager.request_connection(0, 2, contract_no_backup)  # links (0,1),(1,2)
         manager.request_connection(1, 3, contract_no_backup)  # links (1,2),(2,3)
         snap = snapshot_chaining(manager)
@@ -31,7 +31,7 @@ class TestSnapshot:
 
     def test_indirect_chain_of_three(self, contract_no_backup):
         net = line_network(7, 1000.0)
-        manager = NetworkManager(net)
+        manager = make_manager(net)
         a, _ = manager.request_connection(0, 2, contract_no_backup)
         b, _ = manager.request_connection(2, 4, contract_no_backup)  # no shared link with a
         c, _ = manager.request_connection(1, 3, contract_no_backup)  # overlaps both
@@ -45,7 +45,7 @@ class TestSnapshot:
 
     def test_disjoint_channels(self, contract_no_backup):
         net = dumbbell_network(3, 1000.0)
-        manager = NetworkManager(net)
+        manager = make_manager(net)
         manager.request_connection(1, 2, contract_no_backup)
         manager.request_connection(5, 6, contract_no_backup)
         snap = snapshot_chaining(manager)
@@ -54,7 +54,7 @@ class TestSnapshot:
 
     def test_mean_direct_degree(self, contract_no_backup):
         net = line_network(4, 1000.0)
-        manager = NetworkManager(net)
+        manager = make_manager(net)
         manager.request_connection(0, 2, contract_no_backup)
         manager.request_connection(1, 3, contract_no_backup)
         snap = snapshot_chaining(manager)
@@ -64,7 +64,7 @@ class TestSnapshot:
 class TestRouteChaining:
     def test_exact_fractions(self, contract_no_backup):
         net = line_network(5, 1000.0)
-        manager = NetworkManager(net)
+        manager = make_manager(net)
         manager.request_connection(0, 1, contract_no_backup)   # link (0,1)
         manager.request_connection(3, 4, contract_no_backup)   # link (3,4)
         # A route over (1,2),(2,3) touches neither channel: pf=0, ps=0.
@@ -77,7 +77,7 @@ class TestRouteChaining:
 
     def test_requires_live_channels(self, ring6):
         with pytest.raises(EstimationError):
-            chaining_for_route(NetworkManager(ring6), [(0, 1)])
+            chaining_for_route(make_manager(ring6), [(0, 1)])
 
 
 class TestMonteCarloArrivalChaining:
@@ -102,7 +102,7 @@ class TestMonteCarloArrivalChaining:
         assert static_ps == pytest.approx(result.params.ps, rel=0.35)
 
     def test_validation(self, ring6, contract_no_backup):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         manager.request_connection(0, 2, contract_no_backup)
         with pytest.raises(EstimationError):
             expected_arrival_chaining(manager, 0, np.random.default_rng(0))

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.channels.manager import NetworkManager
 from repro.channels.records import ConnectionState, EventKind
 from repro.errors import SimulationError
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager
 from repro.topology.regular import dumbbell_network, line_network
 
 
 class TestBasicEstablishment:
     def test_primary_and_backup_routes(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, impact = manager.request_connection(0, 2, contract)
         assert conn is not None
         assert impact.kind is EventKind.ARRIVAL
@@ -22,14 +22,14 @@ class TestBasicEstablishment:
         assert conn.state is ConnectionState.ACTIVE
 
     def test_redistribution_fills_lone_connection(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         # extra pool 900 per link allows the full 8 increments
         assert conn.level == 8
         assert conn.bandwidth == 500.0
 
     def test_reservations_on_links(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         for lid in conn.primary_links:
             ls = manager.state.link(lid)
@@ -40,7 +40,7 @@ class TestBasicEstablishment:
             assert manager.state.link(lid).backup_reserved == 100.0
 
     def test_indexes_maintained(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         for lid in conn.primary_links:
             assert conn.conn_id in manager.channels_on_link[lid]
@@ -49,14 +49,14 @@ class TestBasicEstablishment:
         manager.check_invariants()
 
     def test_stats(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         manager.request_connection(0, 2, contract)
         assert manager.stats.requests == 1
         assert manager.stats.accepted == 1
         assert manager.stats.acceptance_ratio == 1.0
 
     def test_no_backup_contract(self, ring6, contract_no_backup):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract_no_backup)
         assert conn is not None
         assert conn.backup_path is None
@@ -70,7 +70,7 @@ class TestReclamation:
         )
         # Tight bottleneck: 500 Kb/s shared by both cross connections.
         net = dumbbell_network(3, 1000.0, bottleneck_capacity=500.0)
-        manager = NetworkManager(net)
+        manager = ReferenceManager(net)
         # Leaf 1 -> leaf 5 crosses the bottleneck (0, 4).
         first, _ = manager.request_connection(1, 5, contract)
         assert first.level == 8  # bottleneck pool 400 covers all 8 increments
@@ -87,7 +87,7 @@ class TestReclamation:
         manager.check_invariants()
 
     def test_direct_channels_at_min_still_recorded(self, dumbbell3, contract_no_backup):
-        manager = NetworkManager(dumbbell3)
+        manager = ReferenceManager(dumbbell3)
         ids = []
         for leaf in (1, 2, 3):
             conn, _ = manager.request_connection(leaf, leaf + 4, contract_no_backup)
@@ -101,7 +101,7 @@ class TestReclamation:
 class TestRejection:
     def test_no_primary_capacity(self, line5, contract_no_backup):
         small = line_network(3, 150.0)
-        manager = NetworkManager(small)
+        manager = ReferenceManager(small)
         conn1, _ = manager.request_connection(0, 2, contract_no_backup)
         assert conn1 is not None
         conn2, impact = manager.request_connection(0, 2, contract_no_backup)
@@ -114,20 +114,20 @@ class TestRejection:
             performance=ElasticQoS(b_min=100.0, b_max=500.0, increment=50.0),
             dependability=DependabilityQoS(num_backups=1, require_link_disjoint=True),
         )
-        manager = NetworkManager(line5)
+        manager = ReferenceManager(line5)
         conn, impact = manager.request_connection(0, 4, contract)
         assert conn is None
         assert manager.stats.rejected_no_backup == 1
 
     def test_partial_backup_allowed_by_default(self, line5, contract):
-        manager = NetworkManager(line5)
+        manager = ReferenceManager(line5)
         conn, _ = manager.request_connection(0, 4, contract)
         assert conn is not None
         assert conn.backup_overlap == 4  # the line has only one route
 
     def test_rejection_leaves_no_residue(self, line5, contract_no_backup):
         small = line_network(3, 150.0)
-        manager = NetworkManager(small)
+        manager = ReferenceManager(small)
         manager.request_connection(0, 2, contract_no_backup)
         manager.request_connection(0, 2, contract_no_backup)  # rejected
         manager.check_invariants()
@@ -137,7 +137,7 @@ class TestRejection:
 
 class TestRoutingEngines:
     def test_flooding_engine_establishes(self, ring6, contract):
-        manager = NetworkManager(ring6, routing="flooding")
+        manager = ReferenceManager(ring6, routing="flooding")
         conn, _ = manager.request_connection(0, 2, contract)
         assert conn is not None
         assert conn.primary_path == [0, 1, 2]
@@ -147,13 +147,13 @@ class TestRoutingEngines:
 
     def test_unknown_engine_rejected(self, ring6):
         with pytest.raises(SimulationError):
-            NetworkManager(ring6, routing="magic")
+            ReferenceManager(ring6, routing="magic")
 
 
 class TestCapacityGuarantee:
     def test_backup_reservation_protects_minimums(self, ring6, contract):
         """Admitted connections never overcommit: fill the ring and check."""
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         accepted = 0
         for _ in range(60):
             conn, _ = manager.request_connection(0, 3, contract)
@@ -163,13 +163,13 @@ class TestCapacityGuarantee:
         manager.check_invariants()
 
     def test_average_live_bandwidth(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         assert manager.average_live_bandwidth() == 0.0
         manager.request_connection(0, 2, contract)
         assert manager.average_live_bandwidth() == 500.0
 
     def test_level_histogram(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         manager.request_connection(0, 2, contract)
         hist = manager.level_histogram(9)
         assert hist[8] == 1
@@ -184,6 +184,6 @@ class TestMultiBackupRejected:
             performance=elastic_qos,
             dependability=DependabilityQoS(num_backups=2),
         )
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         with pytest.raises(SimulationError):
             manager.request_connection(0, 2, contract)

@@ -1,15 +1,15 @@
 """Unit tests for link failures, backup activation and recovery."""
 
 
-from repro.channels.manager import NetworkManager
 from repro.channels.records import ConnectionState, EventKind
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager
 from repro.topology.regular import ring_network
 
 
 class TestFailover:
     def test_backup_activates(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.fail_link((0, 1))
         assert impact.kind is EventKind.FAILURE
@@ -24,7 +24,7 @@ class TestFailover:
             assert manager.state.link(lid).activated[conn.conn_id] == 100.0
 
     def test_old_primary_reservations_released(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         primary_links = list(conn.primary_links)
         manager.fail_link((0, 1))
@@ -33,7 +33,7 @@ class TestFailover:
             assert conn.conn_id not in manager.channels_on_link[lid]
 
     def test_unaffected_connection_keeps_running(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn_a, _ = manager.request_connection(0, 2, contract)
         conn_b, _ = manager.request_connection(3, 5, contract)
         manager.fail_link((0, 1))
@@ -42,7 +42,7 @@ class TestFailover:
 
     def test_extras_retreat_on_backup_path(self, ring6, contract_no_backup, contract):
         """Primaries sharing links with an activated backup drop extras."""
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         protected, _ = manager.request_connection(0, 2, contract)
         bystander, _ = manager.request_connection(3, 5, contract_no_backup)
         assert bystander.level > 0
@@ -58,7 +58,7 @@ class TestFailover:
             manager.state.link(lid).check_invariants(strict_reservation=False)
 
     def test_failure_of_idle_link(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         # (3,4) carries the backup only; failing it loses the backup.
         impact = manager.fail_link((3, 4))
@@ -69,7 +69,7 @@ class TestFailover:
         assert manager.stats.backups_lost == 1
 
     def test_drop_without_backup(self, ring6, contract_no_backup):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract_no_backup)
         impact = manager.fail_link((0, 1))
         assert impact.dropped == [conn.conn_id]
@@ -80,7 +80,7 @@ class TestFailover:
             assert ls.used == 0.0
 
     def test_second_failure_drops_failed_over(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.fail_link((0, 1))       # fail over to [0,5,4,3,2]
         impact = manager.fail_link((4, 5))  # kill the live backup
@@ -89,7 +89,7 @@ class TestFailover:
         assert manager.num_live == 0
 
     def test_backup_through_failed_link_unusable(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.fail_link((3, 4))  # backup lost first
         impact = manager.fail_link((0, 1))  # primary fails, no backup left
@@ -106,7 +106,7 @@ class TestMultiplexedActivationConflicts:
             performance=ElasticQoS(b_min=100.0, b_max=100.0, increment=100.0),
             dependability=DependabilityQoS(num_backups=1),
         )
-        manager = NetworkManager(net)
+        manager = ReferenceManager(net)
         # Conn A: 0->1 primary [0,1], backup [0,5,4,3,2,1].
         a, _ = manager.request_connection(0, 1, contract)
         # Conn B: 1->2 primary [1,2], backup [1,0,5,4,3,2].
@@ -125,7 +125,7 @@ class TestMultiplexedActivationConflicts:
 
 class TestRepair:
     def test_repair_restores_admission(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         manager.fail_link((0, 1))
         conn, _ = manager.request_connection(0, 2, contract)
         # Primary must avoid the failed link.
@@ -138,7 +138,7 @@ class TestRepair:
         assert conn2.primary_path == [0, 1]
 
     def test_no_failback(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.fail_link((0, 1))
         manager.repair_link((0, 1))

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.channels.manager import NetworkManager
 from repro.channels.records import ConnectionState, EventKind
 from repro.errors import ReservationError
+from repro.reference import ReferenceManager
 
 
 class TestTermination:
     def test_releases_everything(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.terminate_connection(conn.conn_id)
         assert impact.kind is EventKind.TERMINATION
@@ -21,18 +21,18 @@ class TestTermination:
         manager.check_invariants()
 
     def test_stats_counted(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.terminate_connection(conn.conn_id)
         assert manager.stats.terminated == 1
 
     def test_unknown_connection_rejected(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         with pytest.raises(ReservationError):
             manager.terminate_connection(42)
 
     def test_double_terminate_rejected(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.terminate_connection(conn.conn_id)
         with pytest.raises(ReservationError):
@@ -42,7 +42,7 @@ class TestTermination:
         from repro.topology.regular import dumbbell_network
 
         net = dumbbell_network(3, 1000.0, bottleneck_capacity=500.0)
-        manager = NetworkManager(net)
+        manager = ReferenceManager(net)
         first, _ = manager.request_connection(1, 5, contract_no_backup)
         second, _ = manager.request_connection(2, 6, contract_no_backup)
         assert first.level == 3 and second.level == 3
@@ -54,7 +54,7 @@ class TestTermination:
         assert (before, after) == (3, 8)
 
     def test_unrelated_channels_unchanged(self, dumbbell3, contract_no_backup):
-        manager = NetworkManager(dumbbell3)
+        manager = ReferenceManager(dumbbell3)
         # Two disjoint leaf-to-hub connections.
         a, _ = manager.request_connection(1, 2, contract_no_backup)
         b, _ = manager.request_connection(5, 6, contract_no_backup)
@@ -64,7 +64,7 @@ class TestTermination:
         assert b.level == level_b
 
     def test_terminate_failed_over_connection(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.fail_link((0, 1))
         assert conn.state is ConnectionState.FAILED_OVER
@@ -75,7 +75,7 @@ class TestTermination:
         assert manager.num_live == 0
 
     def test_backup_release_frees_reservation_for_future_backups(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         reserved_before = sum(ls.backup_reserved for ls in manager.state.links())
         assert reserved_before > 0

@@ -1,7 +1,7 @@
 """Unit tests for the backup re-establishment extension."""
 
 
-from repro.channels.manager import NetworkManager
+from repro.reference import ReferenceManager
 from repro.topology.graph import Network
 
 
@@ -19,7 +19,7 @@ def theta_network(capacity=1000.0):
 
 class TestReestablishment:
     def test_disabled_by_default(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = ReferenceManager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.fail_link((3, 4))  # kills the backup; ring has no third arc
         assert conn.backup_links is None
@@ -27,7 +27,7 @@ class TestReestablishment:
 
     def test_replacement_found_on_rich_topology(self, contract):
         net = theta_network()
-        manager = NetworkManager(net, reestablish_backups=True)
+        manager = ReferenceManager(net, reestablish_backups=True)
         conn, _ = manager.request_connection(0, 3, contract)
         assert conn.primary_path == [0, 1, 3]
         first_backup = list(conn.backup_links)
@@ -43,7 +43,7 @@ class TestReestablishment:
         manager.check_invariants()
 
     def test_no_replacement_when_no_route(self, ring6, contract):
-        manager = NetworkManager(ring6, reestablish_backups=True)
+        manager = ReferenceManager(ring6, reestablish_backups=True)
         conn, _ = manager.request_connection(0, 2, contract)
         manager.fail_link((3, 4))
         # The only disjoint arc is gone; the maximally-disjoint fallback
@@ -56,7 +56,7 @@ class TestReestablishment:
 
     def test_replacement_protects_against_next_failure(self, contract):
         net = theta_network()
-        manager = NetworkManager(net, reestablish_backups=True)
+        manager = ReferenceManager(net, reestablish_backups=True)
         conn, _ = manager.request_connection(0, 3, contract)
         manager.fail_link(conn.backup_links[0])   # lose original backup
         manager.fail_link(conn.primary_links[0])  # now lose the primary

@@ -1,8 +1,8 @@
-"""Twin-manager equivalence: the array core vs the object reference, bit for bit.
+"""Twin-manager equivalence: the array core vs the reference, bit for bit.
 
 The struct-of-arrays :class:`ArrayNetworkManager` (what
 :func:`make_manager` builds) claims *bitwise* equivalence with the
-per-object :class:`NetworkManager` reference: driven
+plain :class:`~repro.reference.ReferenceManager`: driven
 through an identical event sequence, every route, grant, drop, impact
 record, statistic and per-link float must match exactly (``==`` on
 floats, not ``approx``).  These tests drive both cores in lock-step —
@@ -24,17 +24,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.channels import ArrayNetworkManager, NetworkManager, make_manager
+from repro.channels import ArrayNetworkManager, make_manager
 from repro.channels.digest import manager_state_digest
 from repro.elastic.policies import MaxUtility, UtilityProportional
 from repro.faults.injectors import FaultConfig, build_injector
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager
 from repro.sim import simulator
 from repro.sim.workload import Workload, WorkloadConfig
 from repro.topology.regular import grid_network
 
 #: Manager factory per core name (test ids keep the core names).
-FACTORIES = {"array": make_manager, "object": NetworkManager}
+FACTORIES = {"array": make_manager, "reference": ReferenceManager}
 
 B_MINS = (50.0, 100.0, 150.0)
 INCREMENTS = (50.0, 100.0)
@@ -55,7 +56,7 @@ def _make_qos(rng: random.Random) -> ConnectionQoS:
     )
 
 
-def _snapshot(m: NetworkManager | ArrayNetworkManager):
+def _snapshot(m: ReferenceManager | ArrayNetworkManager):
     """Complete observable state: connections, link floats, stats."""
     conns = {}
     for cid in sorted(m.connections.keys()):
@@ -124,7 +125,7 @@ class TwinDriver:
 
     def __init__(self, seed: int, **manager_kwargs) -> None:
         self.net = grid_network(4, 4, capacity=1000.0)
-        self.mo = NetworkManager(self.net, **manager_kwargs)
+        self.mo = ReferenceManager(self.net, **manager_kwargs)
         self.ma = make_manager(self.net, **manager_kwargs)
         self.rng = random.Random(seed)
         self.nodes = self.net.nodes()
@@ -305,7 +306,7 @@ class TestTwinUnderInjectors:
     @pytest.mark.parametrize("mode", sorted(INJECTOR_CONFIGS))
     def test_injected_faults_equivalent(self, mode):
         net = grid_network(4, 4, capacity=1000.0)
-        mo = NetworkManager(net)
+        mo = ReferenceManager(net)
         ma = make_manager(net)
         _drive_injected(mo, ma, mode, _assert_same_impact)
         assert mo.stats.link_failures > 0
@@ -380,7 +381,7 @@ def _plain(obj):
 def _simulate_on_both(monkeypatch, **kwargs):
     """Result keys of one simulation per core name."""
     results = {}
-    for core in ("array", "object"):
+    for core in ("array", "reference"):
         _on_core(monkeypatch, core)
         results[core] = _result_key(_simulate(**kwargs).run())
     return results
@@ -391,14 +392,14 @@ class TestTwinSimulator:
 
     def test_simulator_results_bitwise_identical(self, monkeypatch):
         results = _simulate_on_both(monkeypatch)
-        assert results["array"] == results["object"]
+        assert results["array"] == results["reference"]
 
 
 class TestTwinSimulatorUnderInjectors:
     """Fault injection through the full simulator loop, both cores.
 
     Each fault injector drives the simulator on the array core and on
-    the object reference; the runs must be bitwise identical.
+    the reference; the runs must be bitwise identical.
     """
 
     @pytest.mark.parametrize("mode", sorted(INJECTOR_CONFIGS))
@@ -406,15 +407,15 @@ class TestTwinSimulatorUnderInjectors:
         results = _simulate_on_both(
             monkeypatch, faults=INJECTOR_CONFIGS[mode], failure_rate=0.05, seed=11
         )
-        assert results["array"] == results["object"], f"{mode}: cores diverged"
-        assert results["object"][2].link_failures > 0, "injector never fired"
+        assert results["array"] == results["reference"], f"{mode}: cores diverged"
+        assert results["reference"][2].link_failures > 0, "injector never fired"
 
 
 class TestTrajectoryRecording:
     """``record_trajectories = False`` empties the level trajectories of
     an impact and changes nothing else."""
 
-    @pytest.mark.parametrize("core", ["array", "object"])
+    @pytest.mark.parametrize("core", ["array", "reference"])
     @given(
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         mode=st.sampled_from(sorted(INJECTOR_CONFIGS)),
@@ -438,7 +439,7 @@ class TestTrajectoryRecording:
         assert manager_state_digest(on) == manager_state_digest(off)
         assert recorded > 0
 
-    @pytest.mark.parametrize("core", ["array", "object"])
+    @pytest.mark.parametrize("core", ["array", "reference"])
     def test_simulator_skips_them_until_something_reads_them(self, monkeypatch, core):
         _on_core(monkeypatch, core)
 

@@ -1,18 +1,13 @@
-"""Unit tests for the water-filling redistribution engine."""
+"""Unit tests for the reference water-fill (:func:`repro.reference.fill`)."""
 
 from dataclasses import dataclass
 from typing import List
 
 
 from repro.elastic.policies import EqualShare, MaxUtility, UtilityProportional
-from repro.elastic.redistribute import (
-    candidate_ids,
-    drop_to_minimum,
-    is_maximal,
-    redistribute,
-)
-from repro.network.state import NetworkState
 from repro.qos.spec import ElasticQoS
+from repro.reference import State, candidate_ids, drop_to_minimum, is_maximal
+from repro.reference import fill as redistribute
 from repro.topology.graph import LinkId
 from repro.topology.regular import line_network
 
@@ -36,7 +31,7 @@ def qos(utility=1.0):
 
 
 def setup_state(capacity=1000.0, n=5):
-    return NetworkState(line_network(n, capacity))
+    return State(line_network(n, capacity))
 
 
 def add_channel(state, channels, cid, links, utility=1.0):
@@ -57,7 +52,7 @@ class TestRedistributeBasics:
         assert state.link((0, 1)).primary_extra[1] == 400.0
 
     def test_bottleneck_limits_level(self):
-        state = NetworkState(line_network(3, 1000.0))
+        state = State(line_network(3, 1000.0))
         channels = {}
         add_channel(state, channels, 1, [(0, 1), (1, 2)])
         # Saturate (1,2) with another channel's minimum reservations.
@@ -93,7 +88,7 @@ class TestRedistributeBasics:
 class TestFairness:
     def test_equal_share_splits_evenly(self):
         """Two channels share one 500-capacity bottleneck fairly."""
-        state = NetworkState(line_network(2, 500.0))
+        state = State(line_network(2, 500.0))
         channels = {}
         add_channel(state, channels, 1, [(0, 1)])
         add_channel(state, channels, 2, [(0, 1)])
@@ -103,7 +98,7 @@ class TestFairness:
         assert channels[2].level == 3
 
     def test_max_utility_monopolises(self):
-        state = NetworkState(line_network(2, 500.0))
+        state = State(line_network(2, 500.0))
         channels = {}
         add_channel(state, channels, 1, [(0, 1)], utility=1.0)
         add_channel(state, channels, 2, [(0, 1)], utility=5.0)
@@ -114,7 +109,7 @@ class TestFairness:
         assert channels[1].level == 0
 
     def test_utility_proportional_splits_by_coefficient(self):
-        state = NetworkState(line_network(2, 500.0))
+        state = State(line_network(2, 500.0))
         channels = {}
         add_channel(state, channels, 1, [(0, 1)], utility=1.0)
         add_channel(state, channels, 2, [(0, 1)], utility=2.0)
@@ -171,17 +166,13 @@ class TestLocality:
 
 
 class TestScalarCacheKeying:
-    """Regression: the redistribute scalar cache keys on the QoS contract
-    *value* (frozen dataclass), not ``id(...)`` (repro.lint DET002).
-
-    An ``id()`` key is allocation-dependent: equal contracts born as
-    distinct objects miss the cache, and a collected contract's address
-    can be reused by a different one.  These tests prove the value key
-    changes nothing observable: grants, levels and per-link extras are
-    identical whether contracts are aliased, duplicated, or mixed."""
+    """Grants depend on a contract's *value*, never on which object
+    carries it (the hazard repro.lint DET002 polices in ``id()`` keys):
+    grants, levels and per-link extras are identical whether contracts
+    are aliased, duplicated, or mixed."""
 
     def _run(self, make_qos):
-        state = NetworkState(line_network(4, 700.0))
+        state = State(line_network(4, 700.0))
         channels = {}
         routes = [[(0, 1), (1, 2)], [(1, 2), (2, 3)], [(0, 1)]]
         for cid, links in enumerate(routes):
@@ -203,8 +194,7 @@ class TestScalarCacheKeying:
     def test_distinct_equal_contracts_match_shared_contract(self):
         shared = qos()
         aliased = self._snapshot(*self._run(lambda cid: shared))
-        # Equal value, a brand-new contract object per channel: under an
-        # ``id()`` key every one of these missed the cache.
+        # Equal value, a brand-new contract object per channel.
         distinct = self._snapshot(*self._run(lambda cid: qos()))
         assert aliased == distinct
 
@@ -224,8 +214,8 @@ class TestScalarCacheKeying:
         assert is_maximal(state, channels, channels.keys())
 
     def test_grants_bitwise_pinned(self):
-        """Exact output pinned so a future cache change that alters
-        redistribution shows up as a diff, not a silent drift."""
+        """Exact output pinned so a change that alters the fill shows up
+        as a diff, not a silent drift."""
         granted, levels, extras = self._snapshot(*self._run(lambda cid: qos()))
         assert granted == {0: 5, 1: 5, 2: 5}
         assert levels == {0: 5, 1: 5, 2: 5}
@@ -237,14 +227,14 @@ class TestScalarCacheKeying:
 
 
 class GenericEqualShare(EqualShare):
-    """Same priority rule but a different type: forces the generic
-    heap-driven fill instead of the equal-share wave fast path."""
+    """Same priority rule but a different type."""
 
     name = "equal-share-generic"
 
 
 class TestEqualShareFastPath:
-    """The heap-free wave fill must match the generic heap loop exactly."""
+    """The fill depends on the policy's priority only, not its type (the
+    production core's equal-share wave fill is built on that)."""
 
     def _contended_setup(self, seed):
         import numpy as np

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.channels.records import ConnectionState
 from repro.errors import FaultInjectionError
 from repro.faults import FaultConfig
@@ -13,25 +13,25 @@ from repro.sim.workload import WorkloadConfig
 
 class TestSetActivationFaults:
     def test_probability_out_of_range_rejected(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         with pytest.raises(FaultInjectionError):
             manager.set_activation_faults(-0.1, np.random.default_rng(0))
         with pytest.raises(FaultInjectionError):
             manager.set_activation_faults(1.1, np.random.default_rng(0))
 
     def test_positive_probability_requires_rng(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         with pytest.raises(FaultInjectionError):
             manager.set_activation_faults(0.5, None)
 
     def test_zero_probability_without_rng_allowed(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         manager.set_activation_faults(0.0, None)
 
 
 class TestActivationFaultBehaviour:
     def test_certain_fault_drops_instead_of_activating(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         manager.set_activation_faults(1.0, np.random.default_rng(0))
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.fail_link((0, 1))
@@ -47,7 +47,7 @@ class TestActivationFaultBehaviour:
         manager.check_invariants()
 
     def test_zero_probability_activates_normally(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         manager.set_activation_faults(0.0, np.random.default_rng(0))
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.fail_link((0, 1))
@@ -59,7 +59,7 @@ class TestActivationFaultBehaviour:
         manager.check_invariants()
 
     def test_faulted_activation_releases_backup_resources(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         manager.set_activation_faults(1.0, np.random.default_rng(0))
         manager.request_connection(0, 2, contract)
         manager.fail_link((0, 1))
@@ -67,8 +67,9 @@ class TestActivationFaultBehaviour:
         # backup path it failed to switch onto.
         for lid in ring6.link_ids():
             ls = manager.state.link(lid)
-            assert not ls.activated
-            assert not ls.primary_min
+            assert ls.activated_total == 0.0
+            assert ls.primary_min_total == 0.0
+            assert ls.backup_reserved == 0.0
 
 
 class TestSimulatorIntegration:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.channels.records import EventImpact, EventKind
 from repro.errors import AuditError, FaultInjectionError
 from repro.faults import AuditPolicy, Auditor
@@ -37,7 +37,7 @@ def impact_at(time, **kwargs):
 
 class TestAuditor:
     def test_after_failure_checks_only_failures(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         auditor = Auditor(AuditPolicy(after_failure=True), manager)
         auditor.observe(0, "churn", impact_at(1.0))
         auditor.observe(1, "repair", None)
@@ -46,14 +46,14 @@ class TestAuditor:
         assert auditor.checks_run == 1
 
     def test_every_n_period(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         auditor = Auditor(AuditPolicy(every_n_events=3), manager)
         for index in range(9):
             auditor.observe(index, "churn", None)
         assert auditor.checks_run == 3  # after events 2, 5 and 8
 
     def test_tail_is_bounded(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         auditor = Auditor(AuditPolicy(every_n_events=100, trace_tail=4), manager)
         for index in range(10):
             auditor.observe(index, "churn", impact_at(float(index)))
@@ -61,7 +61,7 @@ class TestAuditor:
         assert [entry.index for entry in auditor.tail] == [6, 7, 8, 9]
 
     def test_noop_events_marked_in_tail(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         auditor = Auditor(AuditPolicy(every_n_events=100), manager)
         auditor.observe(0, "repair", None)
         entry = auditor.tail[0]
@@ -69,13 +69,12 @@ class TestAuditor:
         assert math.isnan(entry.time)
 
     def test_corruption_raises_audit_error_with_tail(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         auditor = Auditor(AuditPolicy(after_failure=True), manager)
         auditor.observe(0, "churn", impact_at(1.0, conn_id=conn.conn_id))
-        # Sabotage a reservation ledger behind the cached total's back.
-        ls = manager.state.link((0, 1))
-        ls.primary_min[conn.conn_id] += 333.0
+        # Sabotage a reservation column behind the connection table's back.
+        manager.links.primary_min[manager.links.index_of((0, 1))] += 333.0
         with pytest.raises(AuditError) as excinfo:
             auditor.observe(1, "failure", impact_at(2.0, failed_link=(3, 4)))
         err = excinfo.value

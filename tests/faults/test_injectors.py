@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.channels.records import ConnectionState
 from repro.errors import FaultInjectionError
 from repro.faults import (
@@ -81,7 +81,7 @@ class TestFaultConfigValidation:
 class TestMultiLinkFailures:
     def test_fail_links_atomic_double_failure(self, ring6, contract):
         """A burst hitting primary AND backup drops the connection."""
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         # Primary goes 0-1-2; the link-disjoint backup goes the long way
         # round, so (0,1) and (0,5) together sever both routes at once.
@@ -95,7 +95,7 @@ class TestMultiLinkFailures:
         manager.check_invariants()
 
     def test_fail_links_rejects_empty_and_dead(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         with pytest.raises(FaultInjectionError):
             manager.fail_links([])
         manager.fail_link((0, 1))
@@ -104,9 +104,9 @@ class TestMultiLinkFailures:
 
     def test_single_link_burst_matches_fail_link(self, ring6, contract):
         """fail_links([lid]) and fail_link(lid) report identically."""
-        a = NetworkManager(ring6)
+        a = make_manager(ring6)
         a.request_connection(0, 2, contract)
-        b = NetworkManager(ring6)
+        b = make_manager(ring6)
         b.request_connection(0, 2, contract)
         one = a.fail_link((0, 1))
         many = b.fail_links([(0, 1)])
@@ -116,7 +116,7 @@ class TestMultiLinkFailures:
         assert many.direct == one.direct
 
     def test_fail_node(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.fail_node(0)
         assert impact.failed_node == 0
@@ -128,7 +128,7 @@ class TestMultiLinkFailures:
         manager.check_invariants()
 
     def test_fail_node_without_alive_links_rejected(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         manager.fail_node(0)
         with pytest.raises(FaultInjectionError):
             manager.fail_node(0)
@@ -136,7 +136,7 @@ class TestMultiLinkFailures:
 
 class TestNodeFailureInjector:
     def test_injects_whole_node(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         workload = make_workload(ring6, contract)
         injector = NodeFailureInjector(ring6, workload)
         impact = injector.inject_failure(manager)
@@ -145,7 +145,7 @@ class TestNodeFailureInjector:
         assert manager.stats.node_failures == 1
 
     def test_rates_match_base_model(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         workload = make_workload(ring6, contract, gamma=0.01, rho=0.25)
         injector = NodeFailureInjector(ring6, workload)
         assert injector.failure_rate(manager.state) == 0.01 * 6
@@ -156,7 +156,7 @@ class TestNodeFailureInjector:
 
 class TestCorrelatedBurstInjector:
     def test_shared_node_burst_is_connected(self, waxman24, contract):
-        manager = NetworkManager(waxman24)
+        manager = make_manager(waxman24)
         workload = make_workload(waxman24, contract)
         config = FaultConfig(mode="burst", burst_size=3)
         injector = CorrelatedBurstInjector(waxman24, workload, config)
@@ -174,7 +174,7 @@ class TestCorrelatedBurstInjector:
             CorrelatedBurstInjector(ring6, workload, config)
 
     def test_distance_kernel_on_waxman(self, waxman24, contract):
-        manager = NetworkManager(waxman24)
+        manager = make_manager(waxman24)
         workload = make_workload(waxman24, contract)
         config = FaultConfig(mode="burst", burst_size=4, burst_kernel="distance")
         injector = CorrelatedBurstInjector(waxman24, workload, config)
@@ -186,7 +186,7 @@ class TestCorrelatedBurstInjector:
 
     def test_burst_comes_up_short_when_pool_dry(self, line5, contract):
         # A 4-link path asked for a 10-link burst fails what it can.
-        manager = NetworkManager(line5)
+        manager = make_manager(line5)
         workload = make_workload(line5, contract)
         config = FaultConfig(mode="burst", burst_size=10)
         injector = CorrelatedBurstInjector(line5, workload, config)
@@ -196,7 +196,7 @@ class TestCorrelatedBurstInjector:
 
 class TestMarkovOnOffInjector:
     def test_homogeneous_spread_matches_base_rates(self, ring6, contract):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         workload = make_workload(ring6, contract, gamma=0.02, rho=0.5)
         injector = MarkovOnOffInjector(ring6, workload, FaultConfig(mode="markov"))
         base = FaultInjector(ring6, workload)
@@ -205,7 +205,7 @@ class TestMarkovOnOffInjector:
         )
 
     def test_incremental_weights_stay_consistent(self, waxman24, contract):
-        manager = NetworkManager(waxman24)
+        manager = make_manager(waxman24)
         workload = make_workload(waxman24, contract, gamma=0.01, rho=0.5)
         config = FaultConfig(mode="markov", rate_spread=0.8, rate_seed=9)
         injector = MarkovOnOffInjector(waxman24, workload, config)

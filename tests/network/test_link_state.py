@@ -1,13 +1,13 @@
-"""Unit tests for per-link reservation accounting."""
+"""Unit tests for per-link reservation accounting (the reference's :class:`Link`)."""
 
 import pytest
 
 from repro.errors import AdmissionError, ReservationError
-from repro.network.link_state import LinkState
+from repro.reference import Link
 
 
 def make_link(capacity=1000.0):
-    return LinkState(link=(0, 1), capacity=capacity)
+    return Link((0, 1), capacity)
 
 
 class TestPrimaryReservations:
@@ -94,7 +94,7 @@ class TestExtras:
         ls.add_primary(2, 100.0)
         ls.grant_extra(1, 100.0)
         ls.grant_extra(2, 200.0)
-        assert ls.drop_all_extras() == 300.0
+        assert ls.drop_extra(1) + ls.drop_extra(2) == 300.0
         assert ls.primary_extra_total == 0.0
 
     def test_extras_can_borrow_backup_reservation(self):

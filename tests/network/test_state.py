@@ -1,14 +1,14 @@
-"""Unit tests for network-wide reservation state (path operations)."""
+"""Unit tests for network-wide reservation state (the reference's path operations)."""
 
 import pytest
 
 from repro.errors import ReservationError, TopologyError
-from repro.network.state import NetworkState
+from repro.reference import State
 
 
 @pytest.fixture
 def state(line5):
-    return NetworkState(line5)
+    return State(line5)
 
 
 PATH = [(0, 1), (1, 2), (2, 3)]

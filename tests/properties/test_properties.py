@@ -12,14 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.channels.manager import NetworkManager
 from repro.channels.records import ConnectionState
-from repro.elastic.redistribute import is_maximal
 from repro.markov.ctmc import steady_state
-from repro.network.link_state import EPSILON
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager, is_maximal
 from repro.sim.engine import EventScheduler
 from repro.topology.regular import complete_network
+from repro.units import EPSILON
 
 #: Shared hypothesis settings: the manager-driven properties run whole
 #: event sequences per example, so keep example counts moderate.
@@ -109,7 +108,7 @@ op_strategy = st.lists(
 )
 
 
-def _apply_ops(manager: NetworkManager, net, ops):
+def _apply_ops(manager: ReferenceManager, net, ops):
     """Drive the manager through an arbitrary op sequence."""
     nodes = net.nodes()
     links = net.link_ids()
@@ -138,7 +137,7 @@ def _apply_ops(manager: NetworkManager, net, ops):
 @SEQ_SETTINGS
 def test_invariants_hold_under_arbitrary_event_sequences(ops):
     net = complete_network(6, 1000.0)
-    manager = NetworkManager(net)
+    manager = ReferenceManager(net)
     _apply_ops(manager, net, ops)
     manager.check_invariants()
     # Usage never exceeds capacity on any link, failures or not.
@@ -150,7 +149,7 @@ def test_invariants_hold_under_arbitrary_event_sequences(ops):
 @SEQ_SETTINGS
 def test_levels_stay_quantised_and_in_range(ops):
     net = complete_network(6, 1000.0)
-    manager = NetworkManager(net)
+    manager = ReferenceManager(net)
     _apply_ops(manager, net, ops)
     for conn in manager.connections.values():
         qos = conn.qos.performance
@@ -166,7 +165,7 @@ def test_levels_stay_quantised_and_in_range(ops):
 @SEQ_SETTINGS
 def test_allocation_is_maximal_after_every_sequence(ops):
     net = complete_network(6, 1000.0)
-    manager = NetworkManager(net)
+    manager = ReferenceManager(net)
     _apply_ops(manager, net, ops)
     participants = {
         cid: conn
@@ -182,7 +181,7 @@ def test_backup_multiplexing_safety(ops):
     """For every link and every single failure, the backups that failure
     would activate fit inside the link's backup reservation."""
     net = complete_network(6, 1000.0)
-    manager = NetworkManager(net)
+    manager = ReferenceManager(net)
     # Exclude failures: the multiplexing guarantee is a pre-failure one.
     ops = [op for op in ops if op[0] not in ("fail", "repair")]
     if not ops:
@@ -204,7 +203,7 @@ def test_backup_disjointness_on_rich_topology(ops):
     """On a complete graph a link-disjoint backup always exists, so every
     admitted connection's backup must be fully disjoint."""
     net = complete_network(6, 1000.0)
-    manager = NetworkManager(net)
+    manager = ReferenceManager(net)
     _apply_ops(manager, net, ops)
     for conn in manager.connections.values():
         if conn.state is ConnectionState.ACTIVE and conn.backup_links:

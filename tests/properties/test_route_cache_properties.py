@@ -2,11 +2,11 @@
 
 The route cache (repro.routing.cache) promises that enabling it never
 changes a single route, acceptance decision, or bandwidth number — it
-only changes how fast the answers arrive.  These properties drive twin
-managers (one cached, one with ``route_cache_probe=0``) through the
-same randomized workload of arrivals, terminations, link failures and
-repairs on random Waxman topologies, and require the observable state
-to stay bitwise identical throughout.
+only changes how fast the answers arrive.  These properties drive the
+production manager (cached) and the reference (which searches every
+route afresh) through the same randomized workload of arrivals,
+terminations, link failures and repairs on random Waxman topologies,
+and require the observable state to stay bitwise identical throughout.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager
 from repro.topology.waxman import WaxmanParams, waxman_network
 
 PROPERTY_SETTINGS = settings(max_examples=12, deadline=None)
@@ -34,10 +35,10 @@ QOS_UNPROTECTED = ConnectionQoS(
 def twin_managers(seed: int, n: int = 12):
     rng = np.random.default_rng(seed)
     net = waxman_network(n, WaxmanParams(alpha=0.5, beta=0.4), 2000.0, rng)
-    return net, NetworkManager(net), NetworkManager(net, route_cache_probe=0)
+    return net, make_manager(net), ReferenceManager(net)
 
 
-def assert_twins_agree(cached: NetworkManager, plain: NetworkManager) -> None:
+def assert_twins_agree(cached, plain: ReferenceManager) -> None:
     assert sorted(cached.connections) == sorted(plain.connections)
     for cid, conn in cached.connections.items():
         other = plain.connections[cid]
@@ -122,7 +123,6 @@ def test_cached_equals_uncached_through_failures(seed):
 import random
 from itertools import islice
 
-from repro.channels import make_manager
 from repro.network.link_table import LinkTable
 from repro.routing.cache import NO_ROUTE, ArrayRouteCache
 from repro.routing.disjoint import disjoint_path, maximally_disjoint_path

@@ -1,107 +1,115 @@
-"""Unit tests for the generation-invalidated candidate-route cache."""
+"""Unit tests for the candidate-route memo (:class:`ArrayRouteCache`)."""
 
 from __future__ import annotations
 
-import pytest
+import random
 
-from repro.channels.manager import NetworkManager
-from repro.network.state import NetworkState
-from repro.routing.cache import NO_ROUTE, RouteCache
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.channels import make_manager
+from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.routing.cache import NO_ROUTE, ArrayRouteCache
 from repro.routing.shortest import bfs_path_rows
 from repro.topology.graph import Network
+from repro.topology.regular import grid_network
 
-
-def admit_live(ls):
-    """Admission that only rejects failed links (pure connectivity)."""
-    return not ls.failed
+#: A demand no 1000 Kb/s test link admits, and one every idle link does.
+HUGE = 10_000.0
+SMALL = 100.0
 
 
 def make_cache(net, **kwargs):
-    state = NetworkState(net)
-    return state, RouteCache(net, state, **kwargs)
+    """A manager's state plus a separate cache over its link table."""
+    manager = make_manager(net)
+    state = manager.state
+    return state, ArrayRouteCache(net, manager.links, state.adjacency_rows(), **kwargs)
+
+
+def lookup(state, cache, source, destination, b_min=SMALL):
+    return cache.primary_route(source, destination, b_min, state.generation)
 
 
 class TestPrimaryRoute:
     def test_hit_matches_filtered_bfs(self, grid33):
         state, cache = make_cache(grid33)
-        found = cache.primary_route(0, 8, admit_live)
+        found = lookup(state, cache, 0, 8)
         assert found is not None and found is not NO_ROUTE
         path, links = found
         reference = bfs_path_rows(
-            state.adjacency_rows(), 0, 8, lambda lid, ls: not ls.failed
+            state.adjacency_rows(), 0, 8, lambda lid, li: not state.is_failed(lid)
         )
         assert path == reference
         assert links == [tuple(sorted(p)) for p in zip(path, path[1:])]
         assert cache.hits == 1
 
     def test_repeat_lookup_reuses_entry(self, grid33):
-        _state, cache = make_cache(grid33)
-        first = cache.primary_route(0, 8, admit_live)
-        second = cache.primary_route(0, 8, admit_live)
+        state, cache = make_cache(grid33)
+        first = lookup(state, cache, 0, 8)
+        second = lookup(state, cache, 0, 8)
         assert first == second
         assert len(cache) == 1
         assert cache.hits == 2
 
     def test_returned_candidate_is_a_copy(self, ring6):
-        _state, cache = make_cache(ring6)
-        path, links = cache.primary_route(0, 3, admit_live)
+        state, cache = make_cache(ring6)
+        path, links = lookup(state, cache, 0, 3)
         path.append(99)
         links.clear()
-        again_path, again_links = cache.primary_route(0, 3, admit_live)
+        again_path, again_links = lookup(state, cache, 0, 3)
         assert 99 not in again_path
         assert again_links
 
     def test_admission_skips_to_second_candidate(self, ring6):
-        _state, cache = make_cache(ring6)
-        # Reject the clockwise arc by admission: the counter-clockwise
+        state, cache = make_cache(ring6)
+        # Fill the clockwise arc's first link: the counter-clockwise
         # route must be returned, exactly like a filtered BFS would.
-        found = cache.primary_route(0, 3, lambda ls: ls.link != (0, 1))
-        path, _links = found
+        cache.links.reserve_primary(cache.links.indices_of([(0, 1)]), 950.0)
+        path, _links = lookup(state, cache, 0, 3)
         assert path == [0, 5, 4, 3]
 
     def test_probe_limit_fallback(self, grid33):
-        _state, cache = make_cache(grid33, probe_limit=2)
+        state, cache = make_cache(grid33, probe_limit=2)
         # Nothing admits: with more than two raw candidates available the
         # cache must give up (None), not claim NO_ROUTE.
-        result = cache.primary_route(0, 8, lambda ls: False)
-        assert result is None
+        assert lookup(state, cache, 0, 8, HUGE) is None
         assert cache.fallbacks == 1
 
     def test_exhaustion_proves_no_route(self, ring6):
-        _state, cache = make_cache(ring6, probe_limit=8)
+        state, cache = make_cache(ring6, probe_limit=8)
         # Only two simple routes exist between opposite ring nodes; with
         # both rejected and the probe budget larger, exhaustion is proof.
-        assert cache.primary_route(0, 3, lambda ls: False) is NO_ROUTE
+        assert lookup(state, cache, 0, 3, HUGE) is NO_ROUTE
 
     def test_disconnected_pair_is_no_route(self):
         net = Network()
         net.add_link(0, 1, 100.0)
         net.add_link(2, 3, 100.0)
-        _state, cache = make_cache(net)
-        assert cache.primary_route(0, 3, admit_live) is NO_ROUTE
+        state, cache = make_cache(net)
+        assert lookup(state, cache, 0, 3, 50.0) is NO_ROUTE
 
     def test_probe_limit_must_be_positive(self, ring6):
-        state = NetworkState(ring6)
         with pytest.raises(ValueError):
-            RouteCache(ring6, state, probe_limit=0)
+            make_cache(ring6, probe_limit=0)
 
 
 class TestGenerationInvalidation:
     def test_failure_invalidates_candidates(self, ring6):
         state, cache = make_cache(ring6)
-        path, _ = cache.primary_route(0, 3, admit_live)
+        path, _ = lookup(state, cache, 0, 3)
         assert path == [0, 1, 2, 3]
         state.fail_link((1, 2))
-        path, _ = cache.primary_route(0, 3, admit_live)
+        path, _ = lookup(state, cache, 0, 3)
         assert path == [0, 5, 4, 3]
 
     def test_repair_invalidates_again(self, ring6):
         state, cache = make_cache(ring6)
         state.fail_link((1, 2))
-        path, _ = cache.primary_route(0, 3, admit_live)
+        path, _ = lookup(state, cache, 0, 3)
         assert path == [0, 5, 4, 3]
         state.repair_link((1, 2))
-        path, _ = cache.primary_route(0, 3, admit_live)
+        path, _ = lookup(state, cache, 0, 3)
         assert path == [0, 1, 2, 3]
 
     def test_generation_counter_bumps(self, ring6):
@@ -112,65 +120,68 @@ class TestGenerationInvalidation:
         assert state.generation == g0 + 2
 
     def test_clear_drops_entries(self, ring6):
-        _state, cache = make_cache(ring6)
-        cache.primary_route(0, 3, admit_live)
+        state, cache = make_cache(ring6)
+        lookup(state, cache, 0, 3)
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
 
 
+def _avoid(primary):
+    return frozenset(tuple(sorted(p)) for p in zip(primary, primary[1:]))
+
+
 class TestRawDisjointBackup:
     def test_finds_disjoint_arc(self, ring6):
-        _state, cache = make_cache(ring6)
-        primary = [0, 1, 2, 3]
-        avoid = frozenset(tuple(sorted(p)) for p in zip(primary, primary[1:]))
-        cand = cache.raw_disjoint_backup(0, 3, tuple(primary), avoid)
-        assert cand is not None
-        path, links, states = cand
-        assert path == [0, 5, 4, 3]
-        assert not (set(links) & avoid)
-        assert len(states) == len(links)
+        state, cache = make_cache(ring6)
+        primary = (0, 1, 2, 3)
+        avoid = _avoid(primary)
+        plan = cache.raw_disjoint_backup(0, 3, primary, avoid, state.generation)
+        assert plan is not None
+        assert plan.path == [0, 5, 4, 3]
+        assert not (set(plan.links) & avoid)
+        assert len(plan.idx) == len(plan.links)
+        assert plan.overlap == 0
 
     def test_memoized_per_primary(self, ring6):
-        _state, cache = make_cache(ring6)
+        state, cache = make_cache(ring6)
         primary = (0, 1, 2, 3)
-        avoid = frozenset(tuple(sorted(p)) for p in zip(primary, primary[1:]))
-        first = cache.raw_disjoint_backup(0, 3, primary, avoid)
-        second = cache.raw_disjoint_backup(0, 3, primary, avoid)
+        avoid = _avoid(primary)
+        first = cache.raw_disjoint_backup(0, 3, primary, avoid, state.generation)
+        second = cache.raw_disjoint_backup(0, 3, primary, avoid, state.generation)
         assert first is second  # the shared candidate, not a recompute
 
     def test_none_when_no_disjoint_exists(self, line5):
-        _state, cache = make_cache(line5)
+        state, cache = make_cache(line5)
         primary = (0, 1, 2, 3, 4)
-        avoid = frozenset(tuple(sorted(p)) for p in zip(primary, primary[1:]))
-        assert cache.raw_disjoint_backup(0, 4, primary, avoid) is None
+        assert cache.raw_disjoint_backup(0, 4, primary, _avoid(primary), state.generation) is None
 
     def test_failure_invalidates_backups(self, complete5):
         state, cache = make_cache(complete5)
         primary = (0, 4)
         avoid = frozenset({(0, 4)})
-        before = cache.raw_disjoint_backup(0, 4, primary, avoid)
+        before = cache.raw_disjoint_backup(0, 4, primary, avoid, state.generation)
         assert before is not None
-        state.fail_link(tuple(sorted(before[0][:2])))  # kill its first hop
-        after = cache.raw_disjoint_backup(0, 4, primary, avoid)
+        state.fail_link(tuple(sorted(before.path[:2])))  # kill its first hop
+        after = cache.raw_disjoint_backup(0, 4, primary, avoid, state.generation)
         assert after is not None
-        assert after[0] != before[0]
+        assert after.path != before.path
 
 
 class TestManagerIntegration:
     def test_cache_enabled_by_default(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         assert manager.route_cache is not None
 
     def test_probe_zero_disables_cache(self, ring6, contract):
-        manager = NetworkManager(ring6, route_cache_probe=0)
+        manager = make_manager(ring6, route_cache_probe=0)
         assert manager.route_cache is None
         conn, _ = manager.request_connection(0, 3, contract)
         assert conn is not None  # uncached path still routes
 
     def test_cached_and_uncached_agree(self, grid33, contract):
-        cached = NetworkManager(grid33)
-        plain = NetworkManager(grid33, route_cache_probe=0)
+        cached = make_manager(grid33)
+        plain = make_manager(grid33, route_cache_probe=0)
         pairs = [(0, 8), (2, 6), (0, 8), (1, 7), (3, 5), (0, 8)]
         for src, dst in pairs:
             a, _ = cached.request_connection(src, dst, contract)
@@ -185,17 +196,6 @@ class TestManagerIntegration:
 # ----------------------------------------------------------------------
 # Precompiled RoutePlan cache (array core)
 # ----------------------------------------------------------------------
-import random
-
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.channels import make_manager
-from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
-from repro.routing.cache import ArrayRouteCache
-from repro.topology.regular import grid_network
-
-
 def _bare_qos(b_min: float) -> ConnectionQoS:
     return ConnectionQoS(
         performance=ElasticQoS(b_min=b_min, b_max=b_min + 100.0, increment=100.0),

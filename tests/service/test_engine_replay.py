@@ -5,11 +5,11 @@ import random
 
 import pytest
 
-from repro.channels import NetworkManager
 from repro.cli import main
 from repro.errors import SimulationError
 from repro.parallel.jobs import TopologySpec
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager
 from repro.service.engine import EngineConfig, ServiceEngine
 from repro.service.protocol import Request
 from repro.service.replay import (
@@ -24,10 +24,10 @@ GRID = TopologySpec(kind="grid", capacity=1000.0, seed=0, nodes=4, cols=4)
 
 
 def _engine(core: str) -> ServiceEngine:
-    """A fresh engine; ``"object"`` swaps in the reference manager."""
+    """A fresh engine; ``"reference"`` swaps in the reference manager."""
     engine = ServiceEngine(GRID, EngineConfig())
-    if core == "object":
-        engine.manager = NetworkManager(engine.net)
+    if core == "reference":
+        engine.manager = ReferenceManager(engine.net)
         engine.manager.record_trajectories = False
     return engine
 
@@ -136,13 +136,13 @@ class TestBatchEqualsSequential:
 
     def test_cores_agree(self):
         digests = {}
-        for core in ("object", "array"):
+        for core in ("reference", "array"):
             engine = _engine(core)
             _drive(engine, batch=8)
             digests[core] = engine.digest()
-        assert digests["object"] == digests["array"]
+        assert digests["reference"] == digests["array"]
 
-    @pytest.mark.parametrize("core", ["array", "object"])
+    @pytest.mark.parametrize("core", ["array", "reference"])
     def test_answers_do_not_depend_on_trajectories(self, core):
         # The engine runs its manager without level trajectories; every
         # response and the state must be what a recording manager gives.

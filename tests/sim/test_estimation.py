@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.channels.records import EventImpact, EventKind
 from repro.errors import EstimationError
 from repro.sim.estimation import TransitionEstimator, _normalise
@@ -33,7 +33,7 @@ class TestNormalise:
 
 class TestCounting:
     def test_arrival_counts_into_a(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         est.observe(arrival_impact({1: (2, 0), 2: (1, 1)}), manager, pre_event_live=4)
         assert est.a_counts[2, 0] == 1
@@ -41,7 +41,7 @@ class TestCounting:
         assert est.a_counts.sum() == 2
 
     def test_termination_counts_into_t(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         impact = EventImpact(kind=EventKind.TERMINATION, conn_id=5, direct={1: (0, 2)})
         est.observe(impact, manager, pre_event_live=4)
@@ -49,14 +49,14 @@ class TestCounting:
         assert est.a_counts.sum() == 0
 
     def test_failure_counts_into_f(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         impact = EventImpact(kind=EventKind.FAILURE, direct={1: (2, 0)})
         est.observe(impact, manager, pre_event_live=4)
         assert est.f_counts[2, 0] == 1
 
     def test_repair_is_ignored(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         est.observe(EventImpact(kind=EventKind.REPAIR), manager, pre_event_live=4)
         with pytest.raises(EstimationError):
@@ -65,20 +65,20 @@ class TestCounting:
 
 class TestPfEstimation:
     def test_pf_is_direct_fraction(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         est.observe(arrival_impact({1: (0, 0), 2: (0, 0)}), manager, pre_event_live=4)
         assert est.pf == pytest.approx(0.5)
 
     def test_pf_averages_over_events(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         est.observe(arrival_impact({1: (0, 0)}), manager, pre_event_live=4)   # 0.25
         est.observe(arrival_impact({}), manager, pre_event_live=4)            # 0.0
         assert est.pf == pytest.approx(0.125)
 
     def test_rejected_arrival_counts_zero_direct(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=3, arrival_rate=1.0, termination_rate=1.0)
         est.observe(arrival_impact({}, accepted=False), manager, pre_event_live=4)
         assert est.pf == 0.0
@@ -96,7 +96,7 @@ class TestEstimate:
             est.estimate()
 
     def test_produces_valid_parameters(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(
             num_levels=3, arrival_rate=0.5, termination_rate=0.5, failure_rate=0.1
         )
@@ -113,7 +113,7 @@ class TestEstimate:
         assert params.observations["a"] == 1
 
     def test_failure_matrix_optional(self, ring6):
-        manager = NetworkManager(ring6)
+        manager = make_manager(ring6)
         est = TransitionEstimator(num_levels=2, arrival_rate=1.0, termination_rate=1.0)
         est.observe(arrival_impact({1: (1, 0)}), manager, pre_event_live=2)
         est.observe(
@@ -138,7 +138,7 @@ class TestEstimate:
 class TestIndirectSampling:
     def test_sampled_arrival_counts_b(self, dumbbell3, contract_no_backup):
         """Drive a real manager so the indirect set is genuine."""
-        manager = NetworkManager(dumbbell3)
+        manager = make_manager(dumbbell3)
         est = TransitionEstimator(
             num_levels=9, arrival_rate=1.0, termination_rate=1.0, sample_interval=1
         )

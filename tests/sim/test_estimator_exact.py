@@ -9,8 +9,9 @@ strongest guard against sign/orientation errors in the A/B/T pipeline.
 import numpy as np
 import pytest
 
-from repro.channels.manager import NetworkManager
+from repro.channels import make_manager
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
+from repro.reference import ReferenceManager
 from repro.sim.estimation import TransitionEstimator
 from repro.topology.regular import dumbbell_network
 
@@ -27,7 +28,7 @@ def contract():
 def setting():
     """Dumbbell with a 500 Kb/s bottleneck; leaves 1-3 left, 5-7 right."""
     net = dumbbell_network(3, 1000.0, bottleneck_capacity=500.0)
-    manager = NetworkManager(net)
+    manager = make_manager(net)
     estimator = TransitionEstimator(
         num_levels=5, arrival_rate=1.0, termination_rate=1.0, sample_interval=1
     )
@@ -136,7 +137,6 @@ class TestHandComputedScenario:
 # ----------------------------------------------------------------------
 import random
 
-from repro.channels import make_manager
 from repro.channels.records import EventKind
 from repro.topology.regular import grid_network
 
@@ -245,7 +245,7 @@ def drive(factory, seed: int = 11, events: int = 600):
 
 class TestBothCoresWithFailures:
     def test_counts_equal_across_cores_and_pinned(self):
-        obj, _ = drive(NetworkManager)
+        obj, _ = drive(ReferenceManager)
         arr, _ = drive(make_manager)
         for est in (obj, arr):
             assert est.a_counts.tolist() == PINNED["a"]
@@ -256,7 +256,7 @@ class TestBothCoresWithFailures:
             assert est.ps == PINNED["ps"]
 
     def test_walk_over_dropped_and_failed_over(self):
-        _, walks_obj = drive(NetworkManager)
+        _, walks_obj = drive(ReferenceManager)
         _, walks_arr = drive(make_manager)
         assert walks_obj == walks_arr
         # The scenario really contains both hazards: direct channels

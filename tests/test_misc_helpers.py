@@ -31,8 +31,7 @@ class TestReachableFilterless:
 
 class TestIsMaximalNegative:
     def test_detects_non_maximal_allocation(self, elastic_qos):
-        from repro.elastic.redistribute import is_maximal
-        from repro.network.state import NetworkState
+        from repro.reference import State, is_maximal
 
         class Chan:
             def __init__(self, cid, links, qos):
@@ -45,7 +44,7 @@ class TestIsMaximalNegative:
             def elastic_qos(self):
                 return self._qos
 
-        state = NetworkState(line_network(3, 1000.0))
+        state = State(line_network(3, 1000.0))
         chan = Chan(1, [(0, 1)], elastic_qos)
         state.reserve_primary_path(1, chan.primary_links, elastic_qos.b_min)
         # Plenty of spare, level still 0: not maximal.
