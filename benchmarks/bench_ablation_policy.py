@@ -46,7 +46,8 @@ def _run_policy_leg(spec):
         manager.request_connection(int(src), int(dst), contract(4.0 if i % 2 else 1.0))
     by_class = {1.0: [], 4.0: []}
     total_utility = 0.0
-    for conn in manager.connections.values():
+    for cid in manager.live_connection_ids():
+        conn = manager.connection(cid)
         extras = conn.bandwidth - conn.qos.performance.b_min
         total_utility += conn.qos.performance.utility * extras
         by_class[conn.qos.performance.utility].append(conn.bandwidth)

@@ -38,7 +38,7 @@ def _run_engine_leg(spec):
     manager = make_manager(net, routing=engine)
     for src, dst in requests:
         manager.request_connection(src, dst, qos)
-    hops = [len(c.primary_links) for c in manager.connections.values()]
+    hops = [len(manager.connection(cid).primary_links) for cid in manager.live_connection_ids()]
     return [
         engine,
         manager.stats.accepted,

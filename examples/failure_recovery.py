@@ -26,7 +26,7 @@ from repro.topology import ring_network
 
 def show_connections(manager: AnyManager) -> None:
     for cid in manager.live_connection_ids():
-        conn = manager.connections[cid]
+        conn = manager.connection(cid)
         route = "backup" if conn.on_backup else "primary"
         print(
             f"  conn {cid}: {conn.source}->{conn.destination}  "

@@ -62,6 +62,8 @@ def main() -> None:
         if other is not None:
             others.append(other)
     print(f"admitted {len(others)} more connections")
+    # A record is a snapshot: read it again to see what the arrivals did.
+    conn = manager.connection(conn.conn_id)
     print(f"our bandwidth now: {conn.bandwidth:.0f} Kb/s (level {conn.level})")
     print(f"network-wide average: {manager.average_live_bandwidth():.0f} Kb/s")
 
@@ -70,6 +72,7 @@ def main() -> None:
     impact = manager.fail_link(victim_link)
     print(f"failed link {victim_link}: activated={impact.activated}, "
           f"dropped={impact.dropped}, lost backups={impact.lost_backup}")
+    conn = manager.connection(conn.conn_id)
     print(f"our connection state: {conn.state.value}, "
           f"bandwidth {conn.bandwidth:.0f} Kb/s on the backup route")
 

@@ -41,6 +41,8 @@ def main() -> None:
         conn, _ = manager.request_connection(src, dst, qos)
         assert conn is not None
         conns.append(conn)
+    # Records are snapshots: read them again once every arrival has landed.
+    conns = [manager.connection(conn.conn_id) for conn in conns]
     print("established three DR-connections over the shared bottleneck:")
     for conn in conns:
         print(f"  conn {conn.conn_id}: level {conn.level} -> "

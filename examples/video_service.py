@@ -102,8 +102,8 @@ def main() -> None:
 
         by_kind = defaultdict(list)
         for cid, kind in kinds.items():
-            if cid in manager.connections:
-                by_kind[kind].append(manager.connections[cid].bandwidth)
+            if manager.is_live(cid):
+                by_kind[kind].append(manager.connection(cid).bandwidth)
 
         print(f"\npolicy: {policy.name}")
         print(f"  admitted {manager.stats.accepted}/{manager.stats.requests} "

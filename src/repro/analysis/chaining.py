@@ -58,9 +58,7 @@ def snapshot_chaining(manager: AnyManager) -> ChainingSnapshot:
     distinct channels is directly (indirectly) chained — the population
     analogue of the per-event probabilities of §3.2.
     """
-    ids: List[int] = [
-        cid for cid, conn in manager.connections.items() if not conn.on_backup
-    ]
+    ids: List[int] = sorted(manager.ids_on_links(manager.topology.link_ids()))
     n = len(ids)
     direct_degree: Dict[int, int] = {cid: 0 for cid in ids}
     indirect_degree: Dict[int, int] = {cid: 0 for cid in ids}
@@ -70,10 +68,7 @@ def snapshot_chaining(manager: AnyManager) -> ChainingSnapshot:
     # Direct neighbours via the per-link index (C-speed set unions).
     neighbours: Dict[int, Set[int]] = {}
     for cid in ids:
-        conn = manager.connections[cid]
-        peers: Set[int] = set()
-        for lid in conn.primary_links:
-            peers.update(manager.channels_on_link.get(lid, ()))
+        peers = manager.ids_sharing_links((cid,))
         peers.discard(cid)
         neighbours[cid] = peers
         direct_degree[cid] = len(peers)
@@ -108,22 +103,11 @@ def chaining_for_route(
     Returns the fractions of existing ACTIVE channels that would be
     directly / indirectly chained with a channel using that route.
     """
-    live = [
-        cid for cid, conn in manager.connections.items() if not conn.on_backup
-    ]
+    live = manager.ids_on_links(manager.topology.link_ids())
     if not live:
         raise EstimationError("no live channels to chain against")
-    direct: Set[int] = set()
-    for lid in route_links:
-        direct.update(manager.channels_on_link.get(lid, ()))
-    indirect: Set[int] = set()
-    for cid in direct:
-        conn = manager.connections.get(cid)
-        if conn is None:
-            continue
-        for lid in conn.primary_links:
-            indirect.update(manager.channels_on_link.get(lid, ()))
-    indirect -= direct
+    direct = manager.ids_on_links(route_links)
+    indirect = manager.ids_sharing_links(direct) - direct
     return len(direct) / len(live), len(indirect) / len(live)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.channels import AnyManager, make_manager
 from repro.qos.spec import ConnectionQoS
-from repro.topology.graph import Network
+from repro.topology.graph import LinkId, Network
 
 
 @dataclass
@@ -60,9 +60,7 @@ def compare_schemes(
         manager = make_manager(topology)
         for src, dst in pairs:
             manager.request_connection(src, dst, qos)
-        backup_reserved = sum(
-            manager.state.link(lid).backup_reserved for lid in topology.link_ids()
-        )
+        backup_reserved = sum(manager.link_totals(lid)[3] for lid in topology.link_ids())
         outcomes.append(
             SchemeOutcome(
                 name=name,
@@ -84,13 +82,18 @@ def multiplexing_savings(manager: AnyManager) -> Dict[str, float]:
     failure's demand is reserved.  Returns totals across all links,
     summed in link order.
     """
+    # Each link's inactive-backup minimums, in connection-id order.
+    members: Dict[LinkId, List[float]] = {}
+    for conn in manager.connections.values():
+        if conn.has_backup:
+            assert conn.backup_links is not None
+            for lid in conn.backup_links:
+                members.setdefault(lid, []).append(conn.qos.performance.b_min)
     naive = 0.0
     multiplexed = 0.0
-    connections = manager.connections
     for lid in manager.topology.link_ids():
-        members = sorted(manager.backups_on_link.get(lid, ()))
-        naive += sum(connections[cid].qos.performance.b_min for cid in members)
-        multiplexed += manager.state.link(lid).backup_reserved
+        naive += sum(members.get(lid, ()))
+        multiplexed += manager.link_totals(lid)[3]
     saved = naive - multiplexed
     return {
         "naive_reservation": naive,

@@ -2,8 +2,8 @@
 
 :class:`ArrayNetworkManager` is the SoA twin of
 :class:`~repro.reference.ReferenceManager`: the same operational
-rules (§3.1 of the paper), the same public surface, the same event
-semantics — but every reservation lives in the NumPy columns of a
+rules (§3.1 of the paper), the same calls, the same event semantics —
+but every reservation lives in the NumPy columns of a
 :class:`~repro.network.link_table.LinkTable` and every connection in a
 :class:`~repro.channels.conn_table.ConnectionTable` row addressed by an
 integer handle.  The hot per-event sweeps (extras reclamation, the
@@ -18,6 +18,12 @@ pin this, with fault injection on and off).  The contract is exact on
 the paper's dyadic bandwidth grid; see :mod:`repro.elastic.array_fill`
 for the one caveat on off-grid bandwidths.
 
+Connections leave the manager as
+:class:`~repro.channels.records.DRConnection` records, the same type
+the reference hands out.  A record is a snapshot of its table row at
+the moment it was read; callers that keep one across events read it
+again with :meth:`ArrayNetworkManager.connection`.
+
 The reference (:mod:`repro.reference`) is the oracle; this class is
 the one production core (``repro.channels.make_manager`` builds it).
 """
@@ -29,7 +35,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -44,6 +49,7 @@ from repro.channels.records import (
     _UNIVERSAL_CONFLICT,
     ROUTING_ENGINES,
     ConnectionState,
+    DRConnection,
     EventImpact,
     EventKind,
     ManagerStats,
@@ -61,7 +67,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.network.link_table import LinkTable
-from repro.qos.spec import ConnectionQoS, ElasticQoS
+from repro.qos.spec import ConnectionQoS
 from repro.routing.cache import (
     NO_ROUTE,
     ArrayAdjacencyRows,
@@ -79,63 +85,8 @@ _ACTIVE = STATE_CODE[ConnectionState.ACTIVE]
 _FAILED_OVER = STATE_CODE[ConnectionState.FAILED_OVER]
 
 
-class ArrayLinkView:
-    """Read-only per-link view over the :class:`LinkTable` columns.
-
-    Duck-type compatible with the aggregate properties of
-    :class:`~repro.reference.Link` (diagnostics, tests);
-    the per-connection dicts of the reference have no SoA equivalent.
-    """
-
-    __slots__ = ("_t", "_i", "link")
-
-    def __init__(self, table: LinkTable, index: int) -> None:
-        self._t = table
-        self._i = index
-        self.link = table.link_ids[index]
-
-    @property
-    def capacity(self) -> float:
-        return float(self._t.capacity[self._i])
-
-    @property
-    def failed(self) -> bool:
-        return self._t.failed_py[self._i]
-
-    @property
-    def primary_min_total(self) -> float:
-        return float(self._t.primary_min[self._i])
-
-    @property
-    def primary_extra_total(self) -> float:
-        return float(self._t.primary_extra[self._i])
-
-    @property
-    def activated_total(self) -> float:
-        return float(self._t.activated[self._i])
-
-    @property
-    def backup_reserved(self) -> float:
-        return float(self._t.backup_reserved[self._i])
-
-    @property
-    def used(self) -> float:
-        return self.primary_min_total + self.primary_extra_total + self.activated_total
-
-    @property
-    def spare_for_extras(self) -> float:
-        return self._t.spare_at(self._i)
-
-    @property
-    def admission_headroom(self) -> float:
-        return self._t.headroom_at(self._i)
-
-    def can_admit_primary(self, b_min: float) -> bool:
-        return not self.failed and b_min <= self.admission_headroom + EPSILON
-
-
 class ArrayNetworkState:
-    """Failure bookkeeping + compat facade over a :class:`LinkTable`.
+    """Failure bookkeeping over a :class:`LinkTable`.
 
     Mirrors the parts of :class:`~repro.reference.State` the
     simulator, the fault injectors and the route layer consume:
@@ -155,11 +106,6 @@ class ArrayNetworkState:
             node: [(nbr, lid, table.index[lid]) for nbr, lid, _link in row]
             for node, row in topology.adjacency_rows().items()
         }
-
-    # -- link access ----------------------------------------------------
-    def link(self, lid: LinkId) -> ArrayLinkView:
-        """Per-link diagnostic view (compat with ``State.link``)."""
-        return ArrayLinkView(self.table, self.table.index_of(lid))
 
     def adjacency_rows(self) -> ArrayAdjacencyRows:
         """node -> ``[(neighbor, link_id, dense_index)]`` rows."""
@@ -235,180 +181,6 @@ class ArrayNetworkState:
         return self.total_used() / cap if cap > 0 else 0.0
 
 
-class ArrayConnView:
-    """DRConnection-shaped read view of one connection table row.
-
-    Valid while the connection is live; once the handle is freed (drop
-    or termination) the view goes stale and must not be dereferenced.
-    """
-
-    __slots__ = ("_m", "_h", "conn_id")
-
-    def __init__(self, manager: "ArrayNetworkManager", handle: int) -> None:
-        self._m = manager
-        self._h = handle
-        self.conn_id = manager.conns.cid_py[handle]
-
-    @property
-    def source(self) -> int:
-        return int(self._m.conns.source[self._h])
-
-    @property
-    def destination(self) -> int:
-        return int(self._m.conns.destination[self._h])
-
-    @property
-    def qos(self) -> ConnectionQoS:
-        qos = self._m.conns.qos[self._h]
-        assert qos is not None
-        return qos
-
-    @property
-    def elastic_qos(self) -> ElasticQoS:
-        return self.qos.performance
-
-    @property
-    def level(self) -> int:
-        return int(self._m.conns.level[self._h])
-
-    @property
-    def state(self) -> ConnectionState:
-        return CODE_STATE[int(self._m.conns.state[self._h])]
-
-    @property
-    def on_backup(self) -> bool:
-        return bool(self._m.conns.on_backup[self._h])
-
-    @property
-    def established_at(self) -> float:
-        return float(self._m.conns.established_at[self._h])
-
-    @property
-    def backup_overlap(self) -> int:
-        return int(self._m.conns.backup_overlap[self._h])
-
-    @property
-    def primary_path(self) -> List[int]:
-        return self._m.conns.pnode_slice(self._h).tolist()
-
-    @property
-    def primary_links(self) -> List[LinkId]:
-        return self._m.conns.primary_links_of(self._h, self._m.links.link_ids)
-
-    @property
-    def backup_path(self) -> Optional[List[int]]:
-        if not self._m.conns.bk_len[self._h]:
-            return None
-        return self._m.conns.bnode_slice(self._h).tolist()
-
-    @property
-    def backup_links(self) -> Optional[List[LinkId]]:
-        return self._m.conns.backup_links_of(self._h, self._m.links.link_ids)
-
-    @property
-    def is_live(self) -> bool:
-        return int(self._m.conns.state[self._h]) <= _FAILED_OVER
-
-    @property
-    def has_backup(self) -> bool:
-        return bool(self._m.conns.bk_len[self._h]) and not self.on_backup
-
-    @property
-    def is_elastic_participant(self) -> bool:
-        c = self._m.conns
-        return (
-            int(c.state[self._h]) == _ACTIVE
-            and not c.on_backup[self._h]
-            and bool(c.elastic[self._h])
-        )
-
-    @property
-    def bandwidth(self) -> float:
-        c = self._m.conns
-        if c.on_backup[self._h]:
-            return float(c.b_min[self._h])
-        return float(c.b_min[self._h] + c.level[self._h] * c.increment[self._h])
-
-    @property
-    def live_links(self) -> List[LinkId]:
-        if self.on_backup:
-            links = self.backup_links
-            assert links is not None
-            return links
-        return self.primary_links
-
-
-class _ConnMapView:
-    """``manager.connections``-shaped mapping of conn id -> view."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, manager: "ArrayNetworkManager") -> None:
-        self._m = manager
-
-    def __len__(self) -> int:
-        return len(self._m._h_of)
-
-    def __contains__(self, cid: object) -> bool:
-        return cid in self._m._h_of
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._m._h_of)
-
-    def __getitem__(self, cid: int) -> ArrayConnView:
-        return ArrayConnView(self._m, self._m._h_of[cid])
-
-    def get(self, cid: int, default: Optional[ArrayConnView] = None) -> Optional[ArrayConnView]:
-        h = self._m._h_of.get(cid)
-        if h is None:
-            return default
-        return ArrayConnView(self._m, h)
-
-    def keys(self) -> List[int]:
-        return list(self._m._h_of)
-
-    def values(self) -> List[ArrayConnView]:
-        return [ArrayConnView(self._m, h) for h in self._m._h_of.values()]
-
-    def items(self) -> List[Tuple[int, ArrayConnView]]:
-        return [(cid, ArrayConnView(self._m, h)) for cid, h in self._m._h_of.items()]
-
-
-class _LinkSetsView:
-    """``channels_on_link``-shaped read view: LinkId -> set of conn ids.
-
-    Internally the manager indexes by dense link index and stores
-    *handles*; this view translates both on access (tests, the
-    service's ``query connection`` path, diagnostics).
-    """
-
-    __slots__ = ("_m", "_sets")
-
-    def __init__(self, manager: "ArrayNetworkManager", sets: List[Set[int]]) -> None:
-        self._m = manager
-        self._sets = sets
-
-    def _cids(self, li: int) -> Set[int]:
-        return set(map(self._m.conns.cid_py.__getitem__, self._sets[li]))
-
-    def get(self, lid: LinkId, default: FrozenSet[int] = frozenset()) -> Set[int] | FrozenSet[int]:
-        li = self._m.links.index.get(lid)
-        if li is None or not self._sets[li]:
-            return default
-        return self._cids(li)
-
-    def __getitem__(self, lid: LinkId) -> Set[int]:
-        return self._cids(self._m.links.index_of(lid))
-
-    def __contains__(self, lid: object) -> bool:
-        return lid in self._m.links.index
-
-    def items(self) -> Iterator[Tuple[LinkId, Set[int]]]:
-        for li, handles in enumerate(self._sets):
-            if handles:
-                yield self._m.links.link_ids[li], self._cids(li)
-
-
 class ArrayNetworkManager:
     """Central DR-connection manager over struct-of-arrays state."""
 
@@ -478,32 +250,46 @@ class ArrayNetworkManager:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def connections(self) -> _ConnMapView:
-        """Live connections by id (read view over the table)."""
-        return _ConnMapView(self)
+    def _record(self, h: int) -> DRConnection:
+        """Snapshot of handle ``h``'s table row as a plain record."""
+        c = self.conns
+        ids = self.links.link_ids
+        qos = c.qos[h]
+        assert qos is not None
+        routed = bool(c.bk_len[h])  # a backup route is attached
+        return DRConnection(
+            conn_id=c.cid_py[h],
+            source=int(c.source[h]),
+            destination=int(c.destination[h]),
+            qos=qos,
+            primary_path=c.pnode_slice(h).tolist(),
+            primary_links=[ids[li] for li in c.path_py[h]],
+            backup_path=c.bnode_slice(h).tolist() if routed else None,
+            backup_links=[ids[li] for li in c.bk_slice(h).tolist()] if routed else None,
+            backup_overlap=int(c.backup_overlap[h]),
+            level=int(c.level[h]),
+            state=CODE_STATE[int(c.state[h])],
+            on_backup=bool(c.on_backup[h]),
+            established_at=float(c.established_at[h]),
+        )
 
     @property
-    def channels_on_link(self) -> _LinkSetsView:
-        """link -> ids of ACTIVE primaries traversing it (read view)."""
-        return _LinkSetsView(self, self._prims_on)
+    def connections(self) -> Dict[int, DRConnection]:
+        """Live connections by id, as records built on each read.
 
-    @property
-    def backups_on_link(self) -> _LinkSetsView:
-        """link -> ids of inactive backups traversing it (read view)."""
-        return _LinkSetsView(self, self._backups_on)
+        O(live): for diagnostics only.  No event path reads it.
+        """
+        return {cid: self._record(h) for cid, h in self._h_of.items()}
 
-    @property
-    def active_backups_on_link(self) -> _LinkSetsView:
-        """link -> ids of activated backups traversing it (read view)."""
-        return _LinkSetsView(self, self._active_on)
-
-    def connection(self, conn_id: int) -> ArrayConnView:
-        """The live connection ``conn_id`` (raises when not live)."""
+    def connection(self, conn_id: int) -> DRConnection:
+        """A snapshot of live connection ``conn_id`` (raises when not live)."""
         try:
-            return ArrayConnView(self, self._h_of[conn_id])
+            return self._record(self._h_of[conn_id])
         except KeyError:
             raise ReservationError(f"connection {conn_id} is not live") from None
+
+    def is_live(self, conn_id: int) -> bool:
+        return conn_id in self._h_of
 
     def live_connection_ids(self) -> List[int]:
         """Ids of all live connections, sorted (masked reduction)."""
@@ -521,6 +307,16 @@ class ArrayNetworkManager:
         """Count of ACTIVE elastic primaries at each level (bincount)."""
         return self.conns.level_histogram(num_levels)
 
+    def _ids_on(self, lis: Iterable[int]) -> Set[int]:
+        sets = self._prims_on
+        hset: Set[int] = set().union(*[sets[li] for li in lis])
+        return set(map(self.conns.cid_py.__getitem__, hset))
+
+    def ids_on_links(self, lids: Iterable[LinkId]) -> Set[int]:
+        """Ids of the ACTIVE primaries on any of ``lids`` (unknown ids carry none)."""
+        index = self.links.index
+        return self._ids_on([index[lid] for lid in lids if lid in index])
+
     def ids_sharing_links(self, conn_ids: Iterable[int]) -> Set[int]:
         """Ids of ACTIVE primaries on any primary link of ``conn_ids``.
 
@@ -535,9 +331,19 @@ class ArrayNetworkManager:
             h = h_of.get(cid)
             if h is not None:
                 lis.update(path_py[h])
-        sets = self._prims_on
-        hset: Set[int] = set().union(*[sets[li] for li in lis])
-        return set(map(self.conns.cid_py.__getitem__, hset))
+        return self._ids_on(lis)
+
+    def link_totals(self, lid: LinkId) -> Tuple[float, float, float, float, bool]:
+        """``(primary_min, primary_extra, activated, backup_reserved, failed)``."""
+        t = self.links
+        li = t.index_of(lid)
+        return (
+            float(t.primary_min[li]),
+            float(t.primary_extra[li]),
+            float(t.activated[li]),
+            float(t.backup_reserved[li]),
+            t.failed_py[li],
+        )
 
     def levels_of(self, conn_ids: Sequence[int]) -> List[int]:
         """Current level of each live connection in ``conn_ids``, in order."""
@@ -549,8 +355,8 @@ class ArrayNetworkManager:
     # ------------------------------------------------------------------
     def request_connection(
         self, source: int, destination: int, qos: ConnectionQoS
-    ) -> Tuple[Optional[ArrayConnView], EventImpact]:
-        """Try to establish a DR-connection; returns (connection, impact)."""
+    ) -> Tuple[Optional[DRConnection], EventImpact]:
+        """Try to establish a DR-connection; returns (record, impact)."""
         impact = EventImpact(kind=EventKind.ARRIVAL, time=self.now)
         if qos.dependability.num_backups > 1:
             raise SimulationError(
@@ -634,7 +440,7 @@ class ArrayNetworkManager:
 
         self._redistribute(affected, impact)
         self.stats.accepted += 1
-        return ArrayConnView(self, h), impact
+        return self._record(h), impact
 
     def _reserve_primary_checked(self, prim_idx: np.ndarray, b_min: float) -> None:
         """Reserve a primary's minimum with the reference's guards."""

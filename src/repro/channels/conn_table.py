@@ -15,7 +15,7 @@ Path links are stored as **dense link indices** (positions in the
 owning :class:`~repro.network.link_table.LinkTable`), not ``LinkId``
 tuples: the hot sweeps (reclaim, water-fill, failure victim processing)
 gather straight into the link columns with integer fancy indexing.  The
-``LinkId`` views tests and the estimator want are derived on demand.
+``LinkId`` lists a connection record carries are derived on demand.
 
 The aggregate queries the manager answers per measurement sample —
 ``live_connection_ids``, ``average_live_bandwidth``,
@@ -25,7 +25,7 @@ instead of per-record attribute walks.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -339,16 +339,6 @@ class ConnectionTable:
     def primary_links_of(self, h: int, link_ids: List[LinkId]) -> List[LinkId]:
         """``LinkId`` view of a primary route (derived from CSR)."""
         return [link_ids[i] for i in self.prim_slice(h)]
-
-    def backup_links_of(self, h: int, link_ids: List[LinkId]) -> Optional[List[LinkId]]:
-        """``LinkId`` view of a backup route, ``None`` when detached."""
-        if not self.bk_len[h]:
-            return None
-        return [link_ids[i] for i in self.bk_slice(h)]
-
-    def conflict_set_of(self, h: int, link_ids: List[LinkId]) -> FrozenSet[LinkId]:
-        """The primary-route failure-conflict set of handle ``h``."""
-        return frozenset(link_ids[i] for i in self.prim_slice(h))
 
     def nbytes(self) -> Tuple[int, int]:
         """(column bytes, arena bytes) — memory benchmark hook."""

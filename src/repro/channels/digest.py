@@ -10,9 +10,13 @@ flag, and the lifetime stats — with floats as ``float.hex()`` strings
 so the rendering is exact (no decimal rounding, no ``repr`` drift), and
 :func:`manager_state_digest` hashes that canonical JSON with SHA-256.
 
-Two managers produce equal digests iff the twin-equivalence snapshot
-(`tests/channels/test_twin_managers.py`) would find them identical;
-this module deliberately mirrors that snapshot's field list.
+It reads a manager only through the calls both managers answer —
+``live_connection_ids``, ``connection`` (a
+:class:`~repro.channels.records.DRConnection` record) and
+``link_totals`` — so one rendering serves either.  The twin-equivalence
+suite (``tests/channels/test_twin_managers.py``) compares these
+summaries, so this is the one list of fields the two managers must
+agree on.
 """
 
 from __future__ import annotations
@@ -35,43 +39,30 @@ def _hexfloat(value: float) -> str:
 
 
 def manager_state_summary(manager: AnyManager) -> Dict[str, Any]:
-    """JSON-able, bitwise-exact rendering of a manager's full state."""
+    """JSON-able, bitwise-exact rendering of a manager's full state.
+
+    Reads one connection record at a time, in id order, so the rendering
+    is the only O(live) structure it holds.
+    """
     conns: Dict[str, Any] = {}
-    for cid in sorted(manager.connections.keys()):
-        c = manager.connections[cid]
+    for cid in manager.live_connection_ids():
+        c = manager.connection(cid)
         conns[str(cid)] = {
             "level": c.level,
             "state": c.state.name,
             "on_backup": c.on_backup,
             "primary_path": list(c.primary_path),
-            "primary_links": [list(lid) for lid in c.primary_links],
-            "backup_links": (
-                None if not c.backup_links else [list(lid) for lid in c.backup_links]
-            ),
+            # Link ids stay tuples, which JSON renders as arrays all the
+            # same; a list copy of each cost 0.6 MiB at 1 200 live.
+            "primary_links": list(c.primary_links),
+            "backup_links": None if not c.backup_links else list(c.backup_links),
             "bandwidth": _hexfloat(c.bandwidth),
             "backup_overlap": c.backup_overlap,
         }
     links: Dict[str, Any] = {}
-    if isinstance(manager, ArrayNetworkManager):
-        t = manager.links
-        for lid, li in sorted(t.index.items()):
-            links[str(list(lid))] = [
-                _hexfloat(float(t.primary_min[li])),
-                _hexfloat(float(t.primary_extra[li])),
-                _hexfloat(float(t.activated[li])),
-                _hexfloat(float(t.backup_reserved[li])),
-                bool(t.failed[li]),
-            ]
-    else:
-        for lid in sorted(manager.state.topology.link_ids()):
-            ls = manager.state.link(lid)
-            links[str(list(lid))] = [
-                _hexfloat(ls.primary_min_total),
-                _hexfloat(ls.primary_extra_total),
-                _hexfloat(ls.activated_total),
-                _hexfloat(ls.backup_reserved),
-                ls.failed,
-            ]
+    for lid in sorted(manager.topology.link_ids()):
+        *floats, failed = manager.link_totals(lid)
+        links[str(list(lid))] = [_hexfloat(x) for x in floats] + [failed]
     return {
         "connections": conns,
         "links": links,

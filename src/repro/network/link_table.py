@@ -221,7 +221,7 @@ class LinkTable:
         return (~self.failed) & (b_min <= self.headroom + EPSILON)
 
     # ------------------------------------------------------------------
-    # scalar reads (compat views, flooding allowances, diagnostics)
+    # scalar reads (flooding allowances, backup admission)
     # ------------------------------------------------------------------
     def headroom_at(self, li: int) -> float:
         """Scalar ``admission_headroom`` of one dense index."""
@@ -229,50 +229,9 @@ class LinkTable:
             self.refresh_aggregates()
         return float(self.headroom[li])
 
-    def spare_at(self, li: int) -> float:
-        """Scalar ``spare_for_extras`` of one dense index."""
-        if self._agg_dirty:
-            self.refresh_aggregates()
-        return float(self.spare[li])
-
     # ------------------------------------------------------------------
     # primary path mutations
     # ------------------------------------------------------------------
-    def reserve_primary(self, path_idx: np.ndarray, b_min: float) -> None:
-        """Reserve a primary's minimum along dense path indices.
-
-        The caller performed the admission test (mask or scalar); a
-        violation here is a programming error, mirroring
-        ``Link.add_primary``.
-        """
-        if b_min <= 0:
-            raise ReservationError(f"primary minimum must be positive, got {b_min}")
-        col = self.primary_min
-        for li in path_idx:
-            col[li] += b_min
-        self.refresh_cells(path_idx)
-
-    def release_primary(self, path_idx: np.ndarray, b_min: float, extra: float) -> float:
-        """Release a primary (min + its extras); returns bandwidth freed."""
-        mins = self.primary_min
-        extras = self.primary_extra
-        freed = 0.0
-        for li in path_idx:
-            mins[li] -= b_min
-            if extra:
-                extras[li] -= extra
-            freed += b_min + extra
-        self.refresh_cells(path_idx)
-        return freed
-
-    def drop_extra(self, path_idx: np.ndarray, extra: float) -> None:
-        """Reclaim one connection's extras along its path."""
-        if extra:
-            col = self.primary_extra
-            for li in path_idx:
-                col[li] -= extra
-            self.refresh_cells(path_idx)
-
     def reclaim_extras(self, flat_idx: np.ndarray, amounts: np.ndarray) -> None:
         """Subtract per-entry extras at (possibly repeated) dense indices.
 

@@ -457,6 +457,10 @@ class ReferenceManager:
 
     Takes the production core's constructor arguments;
     ``route_cache_probe`` is accepted and ignored (nothing is cached).
+    Unlike the production core's snapshots, the records that
+    ``connection``, ``connections`` and ``request_connection`` hand out
+    are the manager's own live ones, which later events update in
+    place: read them, never change them.
     """
 
     def __init__(
@@ -519,14 +523,31 @@ class ReferenceManager:
                 hist[min(c.level, num_levels - 1)] += 1
         return hist
 
+    def is_live(self, conn_id: int) -> bool:
+        return conn_id in self.connections
+
+    def ids_on_links(self, lids: Iterable[LinkId]) -> Set[int]:
+        """Ids of the ACTIVE primaries on any of ``lids`` (unknown ids carry none)."""
+        return candidate_ids(self.channels_on_link, lids)
+
     def ids_sharing_links(self, conn_ids: Iterable[int]) -> Set[int]:
-        links = [
+        return self.ids_on_links(
             lid
             for cid in conn_ids
             if cid in self.connections
             for lid in self.connections[cid].primary_links
-        ]
-        return candidate_ids(self.channels_on_link, links)
+        )
+
+    def link_totals(self, lid: LinkId) -> Tuple[float, float, float, float, bool]:
+        """``(primary_min, primary_extra, activated, backup_reserved, failed)``."""
+        ls = self.state.link(lid)
+        return (
+            ls.primary_min_total,
+            ls.primary_extra_total,
+            ls.activated_total,
+            ls.backup_reserved,
+            ls.failed,
+        )
 
     def levels_of(self, conn_ids: Sequence[int]) -> List[int]:
         return [self.connections[cid].level for cid in conn_ids]

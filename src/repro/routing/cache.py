@@ -262,15 +262,6 @@ class ArrayRouteCache:
         self.fallbacks += 1
         return None
 
-    def primary_route(
-        self, source: int, destination: int, b_min: float, generation: int
-    ) -> Optional[Tuple[List[int], List[LinkId]] | _NoRouteType]:
-        """Copying variant of :meth:`primary_plan` (compat surface)."""
-        found = self.primary_plan(source, destination, b_min, generation)
-        if found is None or isinstance(found, _NoRouteType):
-            return found
-        return list(found.path), list(found.links)
-
     def raw_disjoint_backup(
         self,
         source: int,

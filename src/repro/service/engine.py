@@ -114,7 +114,7 @@ class ServiceEngine:
                 return "bad-request", "src and dst must differ"
             return None
         if request.op == "teardown":
-            if request.conn_id not in self.manager.connections:
+            if not self.manager.is_live(request.conn_id):
                 return "not-live", f"connection {request.conn_id} is not live"
             return None
         # fail / repair
@@ -122,7 +122,7 @@ class ServiceEngine:
         u, v = request.link
         if not self.net.has_link(u, v):
             return "bad-request", f"no link {list(request.link)}"
-        failed = self.manager.state.link(request.link).failed
+        failed = self.manager.state.is_failed(request.link)
         if request.op == "fail" and failed:
             return "link-state", f"link {list(request.link)} is already failed"
         if request.op == "repair" and not failed:
@@ -263,11 +263,11 @@ class ServiceEngine:
                 {"seq": self.seq, "digest": manager_state_digest(self.manager)},
             )
         # connection
-        if request.conn_id not in self.manager.connections:
+        if not self.manager.is_live(request.conn_id):
             return error_response(
                 request.req_id, "not-live", f"connection {request.conn_id} is not live"
             )
-        conn = self.manager.connections[request.conn_id]
+        conn = self.manager.connection(request.conn_id)
         return ok_response(
             request.req_id,
             {

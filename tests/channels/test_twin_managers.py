@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.channels import ArrayNetworkManager, make_manager
-from repro.channels.digest import manager_state_digest
+from repro.channels.digest import manager_state_digest, manager_state_summary
 from repro.elastic.policies import MaxUtility, UtilityProportional
 from repro.faults.injectors import FaultConfig, build_injector
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
@@ -57,42 +57,8 @@ def _make_qos(rng: random.Random) -> ConnectionQoS:
 
 
 def _snapshot(m: ReferenceManager | ArrayNetworkManager):
-    """Complete observable state: connections, link floats, stats."""
-    conns = {}
-    for cid in sorted(m.connections.keys()):
-        c = m.connections[cid]
-        conns[cid] = (
-            c.level,
-            c.state.name,
-            c.on_backup,
-            tuple(c.primary_path),
-            tuple(c.primary_links),
-            tuple(c.backup_links) if c.backup_links else None,
-            c.bandwidth,
-            c.backup_overlap,
-        )
-    links = {}
-    if isinstance(m, ArrayNetworkManager):
-        t = m.links
-        for lid, li in t.index.items():
-            links[lid] = (
-                float(t.primary_min[li]),
-                float(t.primary_extra[li]),
-                float(t.activated[li]),
-                float(t.backup_reserved[li]),
-                bool(t.failed[li]),
-            )
-    else:
-        for lid in m.state.topology.link_ids():
-            ls = m.state.link(lid)
-            links[lid] = (
-                ls.primary_min_total,
-                ls.primary_extra_total,
-                ls.activated_total,
-                ls.backup_reserved,
-                ls.failed,
-            )
-    return conns, links, vars(m.stats).copy()
+    """Complete observable state: the hex-exact digest summary."""
+    return manager_state_summary(m)
 
 
 def _impact_key(impact):
@@ -112,12 +78,22 @@ def _impact_key(impact):
 
 def _assert_equal_state(mo, ma, where: str) -> None:
     so, sa = _snapshot(mo), _snapshot(ma)
-    for part, po, pa in zip(("connections", "links", "stats"), so, sa):
+    for part in ("connections", "links", "stats"):
+        po, pa = so[part], sa[part]
         diffs = {k: (po[k], pa.get(k)) for k in po if po[k] != pa.get(k)}
         assert not diffs and po == pa, f"{where}: {part} diverged: {diffs}"
-    assert mo.average_live_bandwidth() == ma.average_live_bandwidth(), where
-    assert mo.level_histogram(8) == ma.level_histogram(8), where
-    assert sorted(mo.connections.keys()) == ma.live_connection_ids(), where
+    assert so == sa, where
+    live = mo.live_connection_ids()
+    assert live == ma.live_connection_ids(), where
+    for cid in live:
+        # Every record field, including the ones the summary leaves out.
+        assert mo.connection(cid) == ma.connection(cid), f"{where}: connection {cid}"
+    links = sorted(mo.topology.link_ids())
+    sampler = random.Random(len(live))
+    for k in (1, 2, 5):
+        # A link id the topology does not know carries no channel on either core.
+        lids = sampler.sample(links, k) + [(-1, -2)]
+        assert mo.ids_on_links(lids) == ma.ids_on_links(lids), f"{where}: {lids}"
 
 
 class TwinDriver:
@@ -139,15 +115,14 @@ class TwinDriver:
         assert (co is None) == (ca is None)
         assert _impact_key(io_) == _impact_key(ia)
         if co is not None:
-            assert co.primary_path == ca.primary_path
-            assert co.backup_path == ca.backup_path
+            assert co == ca  # every field of the arrival's record
             self.live.append(co.conn_id)
 
     def terminate(self) -> None:
         if not self.live:
             return
         cid = self.live.pop(self.rng.randrange(len(self.live)))
-        if cid not in self.mo.connections:
+        if not self.mo.is_live(cid):
             return  # dropped by an earlier failure
         io_ = self.mo.terminate_connection(cid)
         ia = self.ma.terminate_connection(cid)
@@ -275,7 +250,7 @@ def _drive_injected(mo, ma, mode: str, same_impact, steps: int = 200, seed: int 
                 live.append(co.conn_id)
         elif r < 0.75:
             cid = live.pop(rng.randrange(len(live)))
-            if cid in mo.connections:
+            if mo.is_live(cid):
                 same_impact(mo.terminate_connection(cid), ma.terminate_connection(cid))
         elif r < 0.88:
             if mo.state.num_alive <= net.num_links // 2:
@@ -463,3 +438,31 @@ class TestTrajectoryRecording:
         assert _plain(lean.measurement) == _plain(full.measurement)
         assert _plain(lean.params) == _plain(full.params)
         assert _result_key(lean) == _result_key(full)
+
+
+class TestRecordsAreSnapshots:
+    """The array core hands out records that neither later events nor
+    the caller's edits can tie back to its state.  (The reference hands
+    out its own live records; see its class docstring.)"""
+
+    def test_array_records_are_snapshots(self):
+        m = make_manager(grid_network(3, 3, capacity=500.0))
+        qos = ConnectionQoS(
+            performance=ElasticQoS(b_min=100.0, b_max=400.0, increment=100.0),
+            dependability=DependabilityQoS(num_backups=1),
+        )
+        first, _ = m.request_connection(0, 8, qos)
+        assert first is not None and first.level == 3
+        kept = m.connection(first.conn_id)
+        digest = manager_state_digest(m)
+        first.level = 0
+        first.primary_links.clear()
+        first.backup_path.append(99)
+        kept.primary_path.clear()
+        assert manager_state_digest(m) == digest
+        fresh = m.connection(first.conn_id)
+        assert fresh.level == 3 and fresh.primary_links and 99 not in fresh.backup_path
+        # A later arrival on the same route squeezes the first; the
+        # record read before it keeps the old level.
+        m.request_connection(0, 8, qos)
+        assert fresh.level == 3 and m.connection(first.conn_id).level < 3

@@ -35,7 +35,7 @@ class TestActivationFaultBehaviour:
         manager.set_activation_faults(1.0, np.random.default_rng(0))
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.fail_link((0, 1))
-        assert conn.state is ConnectionState.DROPPED
+        assert not manager.is_live(conn.conn_id)
         assert impact.activation_faults == [conn.conn_id]
         assert conn.conn_id in impact.dropped
         assert impact.activated == []
@@ -51,7 +51,7 @@ class TestActivationFaultBehaviour:
         manager.set_activation_faults(0.0, np.random.default_rng(0))
         conn, _ = manager.request_connection(0, 2, contract)
         impact = manager.fail_link((0, 1))
-        assert conn.state is ConnectionState.FAILED_OVER
+        assert manager.connection(conn.conn_id).state is ConnectionState.FAILED_OVER
         assert impact.activated == [conn.conn_id]
         assert impact.activation_faults == []
         assert manager.stats.activation_faults == 0
@@ -66,10 +66,10 @@ class TestActivationFaultBehaviour:
         # The dropped connection must leave no reservations behind on the
         # backup path it failed to switch onto.
         for lid in ring6.link_ids():
-            ls = manager.state.link(lid)
-            assert ls.activated_total == 0.0
-            assert ls.primary_min_total == 0.0
-            assert ls.backup_reserved == 0.0
+            primary_min, _extra, activated, backup_reserved, _failed = manager.link_totals(lid)
+            assert activated == 0.0
+            assert primary_min == 0.0
+            assert backup_reserved == 0.0
 
 
 class TestSimulatorIntegration:

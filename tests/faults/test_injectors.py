@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.channels import make_manager
-from repro.channels.records import ConnectionState
 from repro.errors import FaultInjectionError
 from repro.faults import (
     CorrelatedBurstInjector,
@@ -87,7 +86,7 @@ class TestMultiLinkFailures:
         # round, so (0,1) and (0,5) together sever both routes at once.
         impact = manager.fail_links([(0, 1), (0, 5)])
         assert sorted(impact.failed_links) == [(0, 1), (0, 5)]
-        assert conn.state is ConnectionState.DROPPED
+        assert not manager.is_live(conn.conn_id)
         assert conn.conn_id in impact.dropped
         assert manager.stats.double_failure_drops == 1
         assert manager.stats.backups_activated == 0
@@ -124,7 +123,7 @@ class TestMultiLinkFailures:
         assert manager.stats.node_failures == 1
         assert manager.stats.link_failures == 2
         # Both routes pass through node 0: the connection cannot survive.
-        assert conn.state is ConnectionState.DROPPED
+        assert not manager.is_live(conn.conn_id)
         manager.check_invariants()
 
     def test_fail_node_without_alive_links_rejected(self, ring6):

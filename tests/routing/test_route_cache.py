@@ -28,7 +28,7 @@ def make_cache(net, **kwargs):
 
 
 def lookup(state, cache, source, destination, b_min=SMALL):
-    return cache.primary_route(source, destination, b_min, state.generation)
+    return cache.primary_plan(source, destination, b_min, state.generation)
 
 
 class TestPrimaryRoute:
@@ -36,7 +36,7 @@ class TestPrimaryRoute:
         state, cache = make_cache(grid33)
         found = lookup(state, cache, 0, 8)
         assert found is not None and found is not NO_ROUTE
-        path, links = found
+        path, links = found.path, found.links
         reference = bfs_path_rows(
             state.adjacency_rows(), 0, 8, lambda lid, li: not state.is_failed(lid)
         )
@@ -48,26 +48,26 @@ class TestPrimaryRoute:
         state, cache = make_cache(grid33)
         first = lookup(state, cache, 0, 8)
         second = lookup(state, cache, 0, 8)
-        assert first == second
+        assert first is second
         assert len(cache) == 1
         assert cache.hits == 2
 
     def test_returned_candidate_is_a_copy(self, ring6):
-        state, cache = make_cache(ring6)
-        path, links = lookup(state, cache, 0, 3)
-        path.append(99)
-        links.clear()
-        again_path, again_links = lookup(state, cache, 0, 3)
-        assert 99 not in again_path
-        assert again_links
+        # Plans are shared; the record a manager returns copies its lists.
+        manager = make_manager(ring6)
+        conn, _ = manager.request_connection(0, 3, _bare_qos(SMALL))
+        conn.primary_path.append(99)
+        conn.primary_links.clear()
+        plan = manager.route_cache.primary_plan(0, 3, SMALL, manager.state.generation)
+        assert 99 not in plan.path
+        assert plan.links
 
     def test_admission_skips_to_second_candidate(self, ring6):
         state, cache = make_cache(ring6)
         # Fill the clockwise arc's first link: the counter-clockwise
         # route must be returned, exactly like a filtered BFS would.
-        cache.links.reserve_primary(cache.links.indices_of([(0, 1)]), 950.0)
-        path, _links = lookup(state, cache, 0, 3)
-        assert path == [0, 5, 4, 3]
+        cache.links.add_primary_min(cache.links.indices_of([(0, 1)]), 950.0)
+        assert lookup(state, cache, 0, 3).path == [0, 5, 4, 3]
 
     def test_probe_limit_fallback(self, grid33):
         state, cache = make_cache(grid33, probe_limit=2)
@@ -97,20 +97,16 @@ class TestPrimaryRoute:
 class TestGenerationInvalidation:
     def test_failure_invalidates_candidates(self, ring6):
         state, cache = make_cache(ring6)
-        path, _ = lookup(state, cache, 0, 3)
-        assert path == [0, 1, 2, 3]
+        assert lookup(state, cache, 0, 3).path == [0, 1, 2, 3]
         state.fail_link((1, 2))
-        path, _ = lookup(state, cache, 0, 3)
-        assert path == [0, 5, 4, 3]
+        assert lookup(state, cache, 0, 3).path == [0, 5, 4, 3]
 
     def test_repair_invalidates_again(self, ring6):
         state, cache = make_cache(ring6)
         state.fail_link((1, 2))
-        path, _ = lookup(state, cache, 0, 3)
-        assert path == [0, 5, 4, 3]
+        assert lookup(state, cache, 0, 3).path == [0, 5, 4, 3]
         state.repair_link((1, 2))
-        path, _ = lookup(state, cache, 0, 3)
-        assert path == [0, 1, 2, 3]
+        assert lookup(state, cache, 0, 3).path == [0, 1, 2, 3]
 
     def test_generation_counter_bumps(self, ring6):
         state, _cache = make_cache(ring6)

@@ -255,7 +255,7 @@ class TestReplayAndRecovery:
         assert not ReplayLogReader(path).torn_tail
         # And the recovered engine can keep appending valid records.
         lid = recovered.net.link_ids()[0]
-        op = "repair" if recovered.manager.state.link(lid).failed else "fail"
+        op = "repair" if recovered.manager.state.is_failed(lid) else "fail"
         req = Request(op=op, req_id=0, link=lid)
         recovered.apply_sequential(req)
         recovered.close()

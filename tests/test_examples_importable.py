@@ -1,18 +1,32 @@
 """Smoke tests: every example script parses, imports and defines main().
 
-Full example runs take tens of seconds each; the unit suite only checks
-they stay importable and wired to real library APIs (a renamed function
-would break the import, not just the run).
+Every example stays importable and wired to real library APIs (a
+renamed function would break the import, not just the run).  The four
+that drive a manager directly run in about a second each, so they also
+run in full with their stdout pinned by a SHA-256: the array core's
+connection records are snapshots, and an example that keeps one across
+events and prints it stale changes its output.
 """
 
+import hashlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-EXAMPLES = sorted(
-    (pathlib.Path(__file__).parent.parent / "examples").glob("*.py")
-)
+ROOT = pathlib.Path(__file__).parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+#: SHA-256 of each manager-driving example's stdout.
+PINNED_STDOUT = {
+    "quickstart": "31c27362419675672d698fd10243251398155429c1ae35529747e2634affcec2",
+    "failure_recovery": "44c49d2fd228ab0343ce6e2f55bad83181f852ce23079647800fbc49c71bed99",
+    "runtime_scheduling": "2dc8ee57feccf4fe044cc2a21a589fa3fba29a71016e4949f187ead5cf46f08b",
+    "video_service": "7e89663a7c0bdc19f890820346f95dad92ee484f0ada380ac9fae308271f6cd6",
+}
 
 
 @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
@@ -34,3 +48,17 @@ def test_expected_example_set():
         "model_sensitivity",
         "runtime_scheduling",
     } <= names
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_example_output_pinned(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / f"{name}.py")],
+        capture_output=True,
+        check=True,
+        cwd=ROOT,
+        env=env,
+        timeout=120,
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == PINNED_STDOUT[name], run.stdout.decode()
