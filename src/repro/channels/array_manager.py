@@ -445,7 +445,6 @@ class ArrayNetworkManager:
     def _reserve_primary_checked(self, prim_idx: np.ndarray, b_min: float) -> None:
         """Reserve a primary's minimum with the reference's guards."""
         t = self.links
-        t.refresh_aggregates()
         headroom = t.headroom[prim_idx]
         if bool((b_min > headroom + EPSILON).any()):
             raise AdmissionError(
@@ -484,7 +483,7 @@ class ArrayNetworkManager:
         if bool(dropping.any()):
             sub = hs[dropping]
             sub_extras = extras[dropping]
-            flat, _starts = _gather(conns, sub)
+            flat = _gather(conns, sub)
             rep = np.repeat(sub_extras, conns.prim_len[sub])
             self.links.reclaim_extras(flat, rep)
             conns.conn_extra[sub] = 0.0
@@ -943,7 +942,7 @@ class ArrayNetworkManager:
         if not len(hs):
             return {}
         hs = hs[np.argsort(conns.conn_id[hs])]
-        return redistribute_soa(self.links, conns, hs, self.policy)
+        return redistribute_soa(self.links, conns, hs.tolist(), self.policy)
 
     def _redistribute(self, affected: Set[int], impact: EventImpact) -> None:
         """Water-fill the affected links and fold the result into ``impact``."""

@@ -48,6 +48,14 @@ CODE_STATE = {code: state for state, code in STATE_CODE.items()}
 _F8 = np.float64
 _I8 = np.int64
 
+#: Names of the per-handle NumPy columns (grown and sized together).
+_COLUMNS = (
+    "conn_id", "level", "b_min", "b_max", "increment", "state", "on_backup",
+    "elastic", "alloc", "established_at", "backup_overlap", "source",
+    "destination", "conn_extra", "prim_start", "prim_len", "bk_start",
+    "bk_len", "pnode_start", "pnode_len", "bnode_start", "bnode_len",
+)
+
 
 class _Arena:
     """One append-only CSR arena of int64 payload with bulk compaction."""
@@ -90,9 +98,6 @@ class ConnectionTable:
         self.b_min = np.zeros(n, dtype=_F8)
         self.b_max = np.zeros(n, dtype=_F8)
         self.increment = np.zeros(n, dtype=_F8)
-        #: ``increment - EPSILON``: the water-fill's spare threshold.
-        self.threshold = np.zeros(n, dtype=_F8)
-        self.max_level = np.zeros(n, dtype=_I8)
         self.state = np.full(n, STATE_CODE[ConnectionState.TERMINATED], dtype=np.int8)
         self.on_backup = np.zeros(n, dtype=np.bool_)
         self.elastic = np.zeros(n, dtype=np.bool_)
@@ -119,12 +124,14 @@ class ConnectionTable:
         # -- per-handle Python payload ----------------------------------
         #: QoS contract objects (shared, frozen dataclasses).
         self.qos: List[Optional[ConnectionQoS]] = [None] * n
-        # Python-native mirrors of the per-handle facts the water-fill
-        # probes in its inner loop.  All five are immutable for the
-        # lifetime of an allocation (written in ``allocate``, cleared in
-        # ``free``), so they carry no sync protocol — they simply let
-        # the fill read plain ints/floats/lists instead of paying a
-        # NumPy scalar access per probe.
+        # Python-native per-handle facts the water-fill probes in its
+        # inner loop.  All five are immutable for the lifetime of an
+        # allocation (written in ``allocate``, cleared in ``free``), so
+        # they carry no sync protocol — they simply let the fill read
+        # plain ints/floats/lists instead of paying a NumPy scalar
+        # access per probe.  ``thr_py`` (the spare threshold
+        # ``increment - EPSILON``) and ``maxl_py`` (the level cap) have
+        # no column behind them.
         self.cid_py: List[int] = [-1] * n
         self.thr_py: List[float] = [0.0] * n
         self.delta_py: List[float] = [0.0] * n
@@ -141,13 +148,7 @@ class ConnectionTable:
     def _grow(self) -> None:
         old = self.capacity
         new = old * 2
-        for name in (
-            "conn_id", "level", "b_min", "b_max", "increment", "threshold",
-            "max_level", "state", "on_backup", "elastic", "alloc",
-            "established_at", "backup_overlap", "source", "destination",
-            "conn_extra", "prim_start", "prim_len", "bk_start", "bk_len",
-            "pnode_start", "pnode_len", "bnode_start", "bnode_len",
-        ):
+        for name in _COLUMNS:
             col = getattr(self, name)
             grown = np.zeros(new, dtype=col.dtype)
             grown[:old] = col
@@ -178,14 +179,11 @@ class ConnectionTable:
             self._grow()
         h = self._free.pop()
         perf = qos.performance
-        threshold = perf.increment - EPSILON
         self.conn_id[h] = conn_id
         self.level[h] = 0
         self.b_min[h] = perf.b_min
         self.b_max[h] = perf.b_max
         self.increment[h] = perf.increment
-        self.threshold[h] = threshold
-        self.max_level[h] = perf.max_level
         self.state[h] = STATE_CODE[ConnectionState.ACTIVE]
         self.on_backup[h] = False
         self.elastic[h] = perf.is_elastic()
@@ -203,7 +201,7 @@ class ConnectionTable:
         self.bnode_len[h] = 0
         self.qos[h] = qos
         self.cid_py[h] = conn_id
-        self.thr_py[h] = threshold
+        self.thr_py[h] = perf.increment - EPSILON
         self.delta_py[h] = perf.increment
         self.maxl_py[h] = perf.max_level
         self.path_py[h] = prim_idx.tolist()
@@ -343,13 +341,7 @@ class ConnectionTable:
     def nbytes(self) -> Tuple[int, int]:
         """(column bytes, arena bytes) — memory benchmark hook."""
         cols = 0
-        for name in (
-            "conn_id", "level", "b_min", "b_max", "increment", "threshold",
-            "max_level", "state", "on_backup", "elastic", "alloc",
-            "established_at", "backup_overlap", "source", "destination",
-            "conn_extra", "prim_start", "prim_len", "bk_start", "bk_len",
-            "pnode_start", "pnode_len", "bnode_start", "bnode_len",
-        ):
+        for name in _COLUMNS:
             cols += getattr(self, name).nbytes
         arenas = self.links_arena.data.nbytes + self.nodes_arena.data.nbytes
         return cols, arenas

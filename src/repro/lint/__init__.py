@@ -26,8 +26,8 @@ cross-module symbol index, call graph and must-facts dataflow
 * **Durability ordering** (``DUR001``–``DUR003``) — manager mutations
   dominated by WAL/journal appends, journals reach their flush, and
   fd-level durability stays inside ``repro.service.wal``.
-* **SoA coherence** (``SOA001``–``SOA002``) — LinkTable base-column
-  writers refresh the materialized aggregates in the same function,
+* **SoA coherence** (``SOA001``–``SOA002``) — writers of LinkTable's
+  ``headroom`` inputs refresh the touched cells in the same function,
   and the ``failed``/``failed_py`` mirror never splits.
 
 Run it with ``python -m repro.lint [paths...] [--project]`` or

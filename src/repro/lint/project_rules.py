@@ -12,10 +12,10 @@ These rules check invariants no single file can witness:
   (``log_events``), a journal append (degraded mode), or an explicit
   ``wal is None`` check (WAL-less engines are allowed, but only
   deliberately).  Degraded-mode journals must reach a flush.
-* **SOA** — PR 7's two-tier aggregate protocol: whoever writes a
-  :class:`LinkTable` base column refreshes the materialized aggregates
-  in the same function; the ``failed``/``failed_py`` mirror never
-  splits.  Receiver types are proven (annotations, constructor
+* **SOA** — the per-cell headroom refresh: whoever writes one of the
+  :class:`LinkTable` columns ``headroom`` is computed from refreshes
+  the touched cells in the same function; the ``failed``/``failed_py``
+  mirror never splits.  Receiver types are proven (annotations, constructor
   assignments) before a write is attributed to ``LinkTable`` — the
   reference's :class:`~repro.reference.Link` has *dict* attributes with
   the same names, and a
@@ -52,16 +52,14 @@ _MUTATORS = frozenset(
     {"request_connection", "terminate_connection", "fail_link", "repair_link"}
 )
 
-#: LinkTable base columns feeding the materialized spare/headroom tiers.
+#: LinkTable base columns feeding the materialized ``headroom`` column.
 _SOA_BASE_COLUMNS = frozenset(
-    {"primary_min", "primary_extra", "activated", "backup_reserved", "capacity"}
+    {"primary_min", "activated", "backup_reserved", "capacity"}
 )
 _SOA_MIRROR_COLUMNS = frozenset({"failed", "failed_py"})
 _SOA_ALL_COLUMNS = _SOA_BASE_COLUMNS | _SOA_MIRROR_COLUMNS
 
-_REFRESH_CALLS = frozenset(
-    {"_refresh_cell", "refresh_cells", "refresh_aggregates", "mark_aggregates_dirty"}
-)
+_REFRESH_CALLS = frozenset({"_refresh_cell", "refresh_cells"})
 
 #: Attributes that make up the service's shared serving state; only the
 #: batcher/lifecycle path may write them once the loop is running.
@@ -708,14 +706,13 @@ def _check_soa001(index: ProjectIndex) -> List[Finding]:
                 rule="SOA001",
                 message=(
                     f"`{func.name}` writes LinkTable base column(s) "
-                    f"{', '.join(cols)} without refreshing the materialized "
-                    "aggregates in the same function; spare/headroom go "
-                    "stale and admission decisions silently diverge"
+                    f"{', '.join(cols)} without refreshing `headroom` in "
+                    "the same function; the column goes stale and "
+                    "admission decisions silently diverge"
                 ),
                 hint=(
-                    "call `_refresh_cell(li)`/`refresh_cells(...)` for scalar "
-                    "writes or `mark_aggregates_dirty()` after bulk writes "
-                    "(two-tier protocol, DESIGN.md §11)"
+                    "call `_refresh_cell(li)`/`refresh_cells(idx)` on the "
+                    "touched cells (per-cell refresh, DESIGN.md §13.2)"
                 ),
             )
         )

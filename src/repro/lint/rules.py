@@ -25,8 +25,8 @@ graph and type index from :mod:`repro.lint.project`):
 ``DUR``   Durability ordering — manager mutations dominated by a WAL/
           journal append on all call-graph paths; journals reach flush;
           fd-level durability stays inside the WAL layer.
-``SOA``   Aggregate coherence — LinkTable base-column writers refresh
-          the materialized tier in the same function; the failed/
+``SOA``   Aggregate coherence — writers of LinkTable's headroom inputs
+          refresh the touched cells in the same function; the failed/
           failed_py mirror never splits.
 
 Each rule knows which paths it applies to: wall-clock reads are the
@@ -323,14 +323,14 @@ RULES: Tuple[Rule, ...] = (
         id="SOA001",
         name="stale-aggregate-write",
         summary=(
-            "LinkTable base column (primary_min/primary_extra/activated/"
+            "LinkTable `headroom` input (primary_min/activated/"
             "backup_reserved/capacity) written without `_refresh_cell`/"
-            "`refresh_cells`/`mark_aggregates_dirty` in the same function; "
-            "the materialized spare/headroom tier goes stale"
+            "`refresh_cells` in the same function; the materialized "
+            "headroom column goes stale"
         ),
         hint=(
-            "scalar writes pair with `_refresh_cell`/`refresh_cells`; bulk "
-            "writes call `mark_aggregates_dirty()` (two-tier protocol)"
+            "refresh the touched cells with `_refresh_cell`/`refresh_cells` "
+            "(per-cell refresh, DESIGN.md §13.2)"
         ),
         applies=_src_only,
         project=True,

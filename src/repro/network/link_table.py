@@ -8,19 +8,20 @@ aggregate a :class:`~repro.reference.Link` maintains as a cached Python float
 indexed by a **dense link index** (the position of the link in
 ``topology.links()`` order).  Per-event mutations touch a handful of
 scalar cells; the hot *reads* — admission masks over the whole network,
-spare-capacity sweeps over redistribution candidates — become single
-vectorized expressions instead of per-link property chains.
+the fill's spare snapshot — become single vectorized expressions instead
+of per-link property chains.
 
 Bitwise contract (the twin-manager tests pin this): every float the
 reference computes is reproduced by the *same* sequence of float
 operations.  ``admission_headroom`` is ``((capacity - primary_min) -
 backup_reserved) - activated`` exactly as ``Link`` evaluates it
-left to right; extras are granted by adding the same ``Δ`` in the same
-order (NumPy ``ufunc.at`` is unbuffered and applies element operations
-in array order).  The backup *multiplexing* bookkeeping — the per-link
-``failure link -> demand`` map — stays a dict-of-floats per link: it is
-sparse, keyed by topology identity, and only touched on backup
-reserve/release, never in the vectorized sweeps.
+left to right; extras are granted and reclaimed by the same additions
+in the same order (NumPy ``ufunc.at``, behind the batched reclaim, is
+unbuffered and applies element operations in array order).  The backup
+*multiplexing* bookkeeping — the per-link ``failure link -> demand``
+map — stays a dict-of-floats per link: it is sparse, keyed by topology
+identity, and only touched on backup reserve/release, never in the
+vectorized sweeps.
 
 ``check_invariants`` deliberately ignores every maintained column and
 recomputes the aggregates from the raw per-connection data handed in by
@@ -29,21 +30,19 @@ then cross-checks the columns against the recomputation — the same
 "caches must match a from-scratch sum" discipline the reference's
 ``Link.check_invariants`` applies, at whole-array granularity.
 
-Materialized aggregates (PR 7).  ``spare`` and ``headroom`` hold the
-two derived quantities the hot paths interrogate constantly —
-``spare_for_extras`` and ``admission_headroom`` — as ready-to-read
-float64 columns.  They are *never* updated by adding a delta (which
-would be a different float trajectory off the dyadic bandwidth grid);
-every mutation site re-evaluates the exact left-to-right defining
-expression for just the touched cells (``_refresh_cells``), and bulk
-writers that bypass the mutation API (the elastic fill's vectorized
-grant/writeback) call :meth:`mark_aggregates_dirty`, after which the
-next read triggers a full-column recompute.  Elementwise float64
-arithmetic is IEEE-identical whether evaluated per cell, per touched
-slice, or over the whole column, so all three refresh granularities
-produce bitwise-identical values — ``check_invariants`` asserts the
-columns match a from-scratch recompute with ``array_equal`` (no
-tolerance) whenever the table claims to be clean.
+Materialized headroom.  ``headroom`` holds ``admission_headroom`` —
+``capacity - primary_min - backup_reserved - activated``, the quantity
+every admission probe interrogates — as a ready-to-read float64 column.
+It is *never* updated by adding a delta (which would be a different
+float trajectory off the dyadic bandwidth grid): every writer of one of
+its four inputs re-evaluates the exact left-to-right defining
+expression for just the cells it touched (``_refresh_cell`` /
+``refresh_cells``), so the column is always current.  Elementwise
+float64 arithmetic is IEEE-identical whether evaluated per cell or over
+the whole column, and ``check_invariants`` asserts the column matches a
+from-scratch recompute with ``array_equal`` (no tolerance).  Elastic
+extras feed no materialized column: ``spare_for_extras`` is computed on
+demand, and the fill snapshots its own spares.
 """
 
 from __future__ import annotations
@@ -75,9 +74,8 @@ class LinkTable:
         activated: Bandwidth consumed by activated backups per link.
         backup_reserved: Multiplexed backup reservation per link (the
             worst single-failure demand).
-        spare: Materialized ``spare_for_extras`` per link (see module
-            docstring for the refresh protocol).
-        headroom: Materialized ``admission_headroom`` per link.
+        headroom: Materialized ``admission_headroom`` per link (see
+            module docstring for the refresh protocol).
         failed: Boolean failure mask per link.
         backup_demand: Per-link sparse ``failure link -> total backup
             bandwidth`` maps backing the multiplexing rule.
@@ -91,13 +89,11 @@ class LinkTable:
         "primary_extra",
         "activated",
         "backup_reserved",
-        "spare",
         "headroom",
         "failed",
         "failed_py",
         "backup_demand",
         "_num_links",
-        "_agg_dirty",
     )
 
     def __init__(self, topology: Network) -> None:
@@ -111,16 +107,15 @@ class LinkTable:
         self.primary_extra = np.zeros(n, dtype=_F8)
         self.activated = np.zeros(n, dtype=_F8)
         self.backup_reserved = np.zeros(n, dtype=_F8)
-        self.spare = np.empty(n, dtype=_F8)
-        self.headroom = np.empty(n, dtype=_F8)
+        self.headroom = (
+            self.capacity - self.primary_min - self.backup_reserved - self.activated
+        )
         self.failed = np.zeros(n, dtype=np.bool_)
         #: Python mirror of ``failed`` for scalar probes: list access is
         #: several times cheaper than a numpy scalar read, and the
         #: fail/repair toggles are the column's only writers.
         self.failed_py: List[bool] = [False] * n
         self.backup_demand: List[Dict[LinkId, float]] = [dict() for _ in range(n)]
-        self._agg_dirty = True
-        self.refresh_aggregates()
 
     # ------------------------------------------------------------------
     # geometry
@@ -145,45 +140,28 @@ class LinkTable:
         return np.array([idx[lid] for lid in lids], dtype=np.int64)
 
     # ------------------------------------------------------------------
-    # materialized-aggregate maintenance
+    # materialized headroom maintenance
     # ------------------------------------------------------------------
-    def mark_aggregates_dirty(self) -> None:
-        """Flag the ``spare``/``headroom`` columns stale.
-
-        Bulk writers that mutate base columns directly (the elastic
-        fill's vectorized grants and the Python tail's writeback) call
-        this instead of tracking per-cell refreshes; the next aggregate
-        read recomputes both columns in full.
-        """
-        self._agg_dirty = True
-
-    def refresh_aggregates(self) -> None:
-        """Recompute both materialized columns if flagged stale."""
-        if self._agg_dirty:
-            self.spare[:] = (
-                self.capacity - self.primary_min - self.activated - self.primary_extra
-            )
-            self.headroom[:] = (
-                self.capacity - self.primary_min - self.backup_reserved - self.activated
-            )
-            self._agg_dirty = False
-
     def _refresh_cell(self, li: int) -> None:
-        """Re-evaluate the defining expressions for one dense index."""
-        cm = self.capacity[li] - self.primary_min[li]
-        act = self.activated[li]
-        self.spare[li] = cm - act - self.primary_extra[li]
-        self.headroom[li] = cm - self.backup_reserved[li] - act
+        """Re-evaluate ``headroom``'s defining expression for one index."""
+        self.headroom[li] = (
+            self.capacity[li]
+            - self.primary_min[li]
+            - self.backup_reserved[li]
+            - self.activated[li]
+        )
 
     def refresh_cells(self, idx: np.ndarray) -> None:
-        """Re-evaluate the defining expressions for touched indices.
+        """Re-evaluate ``headroom``'s defining expression for touched indices.
 
         Duplicate indices are harmless: the recompute is idempotent.
         """
-        cm = self.capacity[idx] - self.primary_min[idx]
-        act = self.activated[idx]
-        self.spare[idx] = cm - act - self.primary_extra[idx]
-        self.headroom[idx] = cm - self.backup_reserved[idx] - act
+        self.headroom[idx] = (
+            self.capacity[idx]
+            - self.primary_min[idx]
+            - self.backup_reserved[idx]
+            - self.activated[idx]
+        )
 
     # ------------------------------------------------------------------
     # vectorized aggregate views
@@ -193,17 +171,12 @@ class LinkTable:
 
         ``capacity - primary_min - activated - primary_extra`` evaluated
         left to right — the exact expression (and float trajectory) of
-        ``Link.spare_for_extras`` — served from the materialized
-        column.  Returns a copy: callers may mutate base columns next.
+        ``Link.spare_for_extras``.
         """
-        if self._agg_dirty:
-            self.refresh_aggregates()
-        return self.spare.copy()
+        return self.capacity - self.primary_min - self.activated - self.primary_extra
 
     def admission_headroom(self) -> np.ndarray:
         """Guaranteed-commitment headroom per link (invariant 2 view)."""
-        if self._agg_dirty:
-            self.refresh_aggregates()
         return self.headroom.copy()
 
     def used(self) -> np.ndarray:
@@ -216,8 +189,6 @@ class LinkTable:
         ``True`` where a new primary with minimum ``b_min`` fits: the
         link is alive and ``b_min <= admission_headroom + EPSILON``.
         """
-        if self._agg_dirty:
-            self.refresh_aggregates()
         return (~self.failed) & (b_min <= self.headroom + EPSILON)
 
     # ------------------------------------------------------------------
@@ -225,8 +196,6 @@ class LinkTable:
     # ------------------------------------------------------------------
     def headroom_at(self, li: int) -> float:
         """Scalar ``admission_headroom`` of one dense index."""
-        if self._agg_dirty:
-            self.refresh_aggregates()
         return float(self.headroom[li])
 
     # ------------------------------------------------------------------
@@ -241,7 +210,6 @@ class LinkTable:
         bitwise-equal to the reference's per-channel ``drop_extra``.
         """
         np.add.at(self.primary_extra, flat_idx, -amounts)
-        self.refresh_cells(flat_idx)
 
     def add_primary_min(self, path_idx: np.ndarray, b_min: float) -> None:
         """Bulk-reserve a primary minimum along unique dense indices.
@@ -305,11 +273,10 @@ class LinkTable:
 
         Same per-link arithmetic and comparisons as
         :meth:`can_admit_backup` (the ``max`` over conflict demands is
-        order-free), with one aggregate refresh and the column/method
-        lookups hoisted out of the per-link loop — paths are short, so
-        hoisted scalar reads beat building gather arrays.
+        order-free), with the column/method lookups hoisted out of the
+        per-link loop — paths are short, so hoisted scalar reads beat
+        building gather arrays.
         """
-        self.refresh_aggregates()
         failed = self.failed_py
         reserved = self.backup_reserved
         headroom = self.headroom
@@ -511,27 +478,17 @@ class LinkTable:
                         f"link {self.link_ids[li]}: backup demand for "
                         f"failure {f} out of sync"
                     )
-        if not self._agg_dirty:
-            spare_ref = (
-                self.capacity - self.primary_min - self.activated - self.primary_extra
+        head_ref = (
+            self.capacity - self.primary_min - self.backup_reserved - self.activated
+        )
+        # Bitwise, not tolerance-based: the materialized column is the
+        # same expression over the same operands.
+        if not np.array_equal(self.headroom, head_ref):
+            li = int(np.flatnonzero(self.headroom != head_ref)[0])
+            raise ReservationError(
+                f"link {self.link_ids[li]}: materialized headroom "
+                f"{float(self.headroom[li])!r} != {float(head_ref[li])!r}"
             )
-            head_ref = (
-                self.capacity - self.primary_min - self.backup_reserved - self.activated
-            )
-            # Bitwise, not tolerance-based: a clean table's materialized
-            # columns are the same expression over the same operands.
-            if not np.array_equal(self.spare, spare_ref):
-                li = int(np.flatnonzero(self.spare != spare_ref)[0])
-                raise ReservationError(
-                    f"link {self.link_ids[li]}: materialized spare "
-                    f"{float(self.spare[li])!r} != {float(spare_ref[li])!r}"
-                )
-            if not np.array_equal(self.headroom, head_ref):
-                li = int(np.flatnonzero(self.headroom != head_ref)[0])
-                raise ReservationError(
-                    f"link {self.link_ids[li]}: materialized headroom "
-                    f"{float(self.headroom[li])!r} != {float(head_ref[li])!r}"
-                )
         over = np.flatnonzero(self.used() > self.capacity + EPSILON)
         if over.size:
             li = int(over[0])
@@ -561,7 +518,6 @@ class LinkTable:
             + self.primary_extra.nbytes
             + self.activated.nbytes
             + self.backup_reserved.nbytes
-            + self.spare.nbytes
             + self.headroom.nbytes
             + self.failed.nbytes
         )

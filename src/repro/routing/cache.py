@@ -236,9 +236,7 @@ class ArrayRouteCache:
             self._new_generation(generation)
         failed = self._failed_idx
         entry = self._entry(source, destination)
-        t = self.links
-        t.refresh_aggregates()
-        headroom = t.headroom
+        headroom = self.links.headroom
         index = 0
         while index < self.probe_limit:
             plan = self._candidate(entry, index)

@@ -11,12 +11,14 @@ hypothesis-generated event sequences — and diff complete state
 snapshots along the way.
 
 Bandwidths are drawn from the paper's dyadic grid (multiples of
-50 Kb/s), where the SoA core's vectorized accumulation is exact; see
-the module docstring of :mod:`repro.elastic.array_fill`.
+50 Kb/s), where every sum is exact, and — in the property tests — also
+from an off-grid contract set, where only the float *order* keeps the
+cores equal; see the module docstring of :mod:`repro.elastic.array_fill`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -37,13 +39,16 @@ from repro.topology.regular import grid_network
 #: Manager factory per core name (test ids keep the core names).
 FACTORIES = {"array": make_manager, "reference": ReferenceManager}
 
-B_MINS = (50.0, 100.0, 150.0)
-INCREMENTS = (50.0, 100.0)
+#: Contract sets ``(B_min choices, Δ choices)``: the paper's dyadic grid,
+#: and one whose bandwidths are not exact binary fractions.
+DYADIC = ((50.0, 100.0, 150.0), (50.0, 100.0))
+OFF_GRID = ((33.3, 100.1), (12.3, 7.7))
 
 
-def _make_qos(rng: random.Random) -> ConnectionQoS:
-    b_min = rng.choice(B_MINS)
-    inc = rng.choice(INCREMENTS)
+def _make_qos(rng: random.Random, contracts=DYADIC) -> ConnectionQoS:
+    b_mins, increments = contracts
+    b_min = rng.choice(b_mins)
+    inc = rng.choice(increments)
     levels = rng.randrange(1, 5)
     return ConnectionQoS(
         performance=ElasticQoS(
@@ -76,8 +81,15 @@ def _impact_key(impact):
     )
 
 
-def _assert_equal_state(mo, ma, where: str) -> None:
+def _assert_equal_state(mo, ma, where: str, exact_mean: bool = True) -> None:
     so, sa = _snapshot(mo), _snapshot(ma)
+    if not exact_mean:
+        # The one inexact field off the dyadic grid: the array core sums
+        # live bandwidths pairwise, the reference sequentially (see
+        # ``ConnectionTable.average_live_bandwidth``; ROADMAP item 12).
+        mean_o = float.fromhex(so.pop("average_live_bandwidth"))
+        mean_a = float.fromhex(sa.pop("average_live_bandwidth"))
+        assert math.isclose(mean_o, mean_a, rel_tol=1e-12), where
     for part in ("connections", "links", "stats"):
         po, pa = so[part], sa[part]
         diffs = {k: (po[k], pa.get(k)) for k in po if po[k] != pa.get(k)}
@@ -99,7 +111,8 @@ def _assert_equal_state(mo, ma, where: str) -> None:
 class TwinDriver:
     """Drives a reference/array manager pair through one decision stream."""
 
-    def __init__(self, seed: int, **manager_kwargs) -> None:
+    def __init__(self, seed: int, contracts=DYADIC, **manager_kwargs) -> None:
+        self.contracts = contracts
         self.net = grid_network(4, 4, capacity=1000.0)
         self.mo = ReferenceManager(self.net, **manager_kwargs)
         self.ma = make_manager(self.net, **manager_kwargs)
@@ -109,7 +122,7 @@ class TwinDriver:
 
     def arrive(self) -> None:
         s, d = self.rng.sample(self.nodes, 2)
-        qos = _make_qos(self.rng)
+        qos = _make_qos(self.rng, self.contracts)
         co, io_ = self.mo.request_connection(s, d, qos)
         ca, ia = self.ma.request_connection(s, d, qos)
         assert (co is None) == (ca is None)
@@ -157,12 +170,13 @@ class TwinDriver:
             else:
                 self.repair()
             if step % check_every == 0:
-                self.mo.check_invariants()
-                self.ma.check_invariants()
-                _assert_equal_state(self.mo, self.ma, f"step {step}")
+                self.check(f"step {step}")
+        self.check("final")
+
+    def check(self, where: str) -> None:
         self.mo.check_invariants()
         self.ma.check_invariants()
-        _assert_equal_state(self.mo, self.ma, "final")
+        _assert_equal_state(self.mo, self.ma, where, self.contracts is DYADIC)
 
 
 class TestTwinCampaigns:
@@ -297,15 +311,21 @@ TWIN_SETTINGS = settings(
 class TestTwinProperty:
     """Property: any event sequence leaves the cores bitwise identical."""
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        contracts=st.sampled_from([DYADIC, OFF_GRID]),
+    )
     @TWIN_SETTINGS
-    def test_random_churn_sequences(self, seed):
-        TwinDriver(seed).run(60, faults=False, check_every=60)
+    def test_random_churn_sequences(self, seed, contracts):
+        TwinDriver(seed, contracts).run(60, faults=False, check_every=60)
 
-    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        contracts=st.sampled_from([DYADIC, OFF_GRID]),
+    )
     @TWIN_SETTINGS
-    def test_random_fault_sequences(self, seed):
-        TwinDriver(seed).run(60, faults=True, check_every=60)
+    def test_random_fault_sequences(self, seed, contracts):
+        TwinDriver(seed, contracts).run(60, faults=True, check_every=60)
 
 
 def _on_core(monkeypatch, core: str) -> None:

@@ -12,7 +12,7 @@ from repro.lint import lint_project_sources
 SERVICE = "src/repro/service/fixture_mod.py"
 NETWORK = "src/repro/network/fixture_mod.py"
 
-#: Minimal LinkTable double matching the real two-tier protocol surface.
+#: Minimal LinkTable double matching the real refresh surface.
 LINK_TABLE = '''
 import numpy as np
 
@@ -30,8 +30,6 @@ class LinkTable:
     def _refresh_cell(self, li): ...
 
     def refresh_cells(self, idx): ...
-
-    def mark_aggregates_dirty(self): ...
 '''
 
 
@@ -319,8 +317,8 @@ class TestSoa001AggregateRefresh:
 
     def test_ufunc_scatter_write_fires(self):
         src = LINK_TABLE + (
-            "\n\ndef reclaim(links: LinkTable, idx, amounts):\n"
-            "    np.add.at(links.primary_extra, idx, -amounts)\n"
+            "\n\ndef release(links: LinkTable, idx, amounts):\n"
+            "    np.add.at(links.activated, idx, -amounts)\n"
         )
         assert rule_ids({NETWORK: src}, ["SOA001"]) == ["SOA001"]
 
@@ -331,7 +329,6 @@ class TestSoa001AggregateRefresh:
             "    links.refresh_cells([li])\n"
             "\n\ndef bulk(links: LinkTable):\n"
             "    links.primary_extra[:] = 0.0\n"
-            "    links.mark_aggregates_dirty()\n"
         )
         assert rule_ids({NETWORK: src}, ["SOA001"]) == []
 
@@ -349,8 +346,8 @@ class TestSoa001AggregateRefresh:
     def test_tolist_copy_is_not_an_alias(self):
         src = LINK_TABLE + (
             "\n\ndef snapshot(links: LinkTable):\n"
-            "    extra_py = links.primary_extra.tolist()\n"
-            "    extra_py[0] += 1.0\n"
+            "    min_py = links.primary_min.tolist()\n"
+            "    min_py[0] += 1.0\n"
         )
         assert rule_ids({NETWORK: src}, ["SOA001"]) == []
 

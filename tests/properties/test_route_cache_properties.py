@@ -165,7 +165,6 @@ def _churn_step(m, net, rng: random.Random, live: list) -> None:
             m.repair_link(failed[rng.randrange(len(failed))])
     else:
         li = rng.randrange(len(t))
-        t.refresh_aggregates()
         floor_cap = float(
             t.primary_min[li]
             + t.activated[li]
@@ -306,7 +305,6 @@ def test_mutant_recheck_blind_to_failures_caught(monkeypatch):
 
     def blind_bulk(self, idx, b_min, primary_links):
         # ``can_admit_backup`` with the failed test cut out.
-        self.refresh_aggregates()
         for li in idx.tolist():
             reserved = float(self.backup_reserved[li])
             growth = self.backup_reserved_with(li, b_min, primary_links) - reserved

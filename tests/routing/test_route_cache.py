@@ -313,7 +313,6 @@ class TestArrayPlanInvalidation:
                     m.repair_link(failed[rng.randrange(len(failed))])
             else:
                 li = rng.randrange(len(t))
-                t.refresh_aggregates()
                 floor_cap = float(
                     t.primary_min[li]
                     + t.activated[li]
