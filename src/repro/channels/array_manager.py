@@ -133,20 +133,13 @@ class ArrayNetworkState:
         return len(self._failed_list)
 
     # -- failures -------------------------------------------------------
-    # The column toggles are inlined (rather than calling
-    # ``LinkTable.fail``/``repair``) because a fail/repair pair on an
-    # otherwise idle manager is the hot constant-overhead path of the
-    # failure benchmarks, where the extra call layers were measurable.
     def fail_link(self, lid: LinkId) -> None:
         table = self.table
         try:
             li = table.index[lid]
         except KeyError:
             li = table.index_of(lid)  # raises TopologyError, unknown link
-        if table.failed_py[li]:
-            raise ReservationError(f"link {lid} is already failed")
-        table.failed[li] = True
-        table.failed_py[li] = True
+        table.fail(li)
         self._failed.add(lid)
         self._alive_list.pop(bisect_left(self._alive_list, lid))
         insort(self._failed_list, lid)
@@ -158,10 +151,7 @@ class ArrayNetworkState:
             li = table.index[lid]
         except KeyError:
             li = table.index_of(lid)  # raises TopologyError, unknown link
-        if not table.failed_py[li]:
-            raise ReservationError(f"link {lid} is not failed")
-        table.failed[li] = False
-        table.failed_py[li] = False
+        table.repair(li)
         self._failed.discard(lid)
         self._failed_list.pop(bisect_left(self._failed_list, lid))
         insort(self._alive_list, lid)

@@ -418,20 +418,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """Determinism-aware static analysis (delegates to ``repro.lint``)."""
     from repro.lint.cli import main as lint_main
 
-    forwarded: List[str] = list(args.paths)
-    if args.select:
-        forwarded += ["--select", args.select]
-    if args.lint_format != "text":
-        forwarded += ["--format", args.lint_format]
-    if args.project:
-        forwarded += ["--project"]
-    if args.jobs != 1:
-        forwarded += ["--jobs", str(args.jobs)]
-    if args.stats:
-        forwarded += ["--stats"]
-    if args.list_rules:
-        forwarded += ["--list-rules"]
-    return lint_main(forwarded)
+    return lint_main(args.lint_args)
 
 
 def _bench_workload(population: int, seed: int):
@@ -972,29 +959,13 @@ def build_parser() -> argparse.ArgumentParser:
                    "dropped, sequence renumbered)")
     p.set_defaults(func=cmd_replay)
 
+    # Every argument goes to `python -m repro.lint` as is; "+" as the only
+    # prefix char keeps this parser from claiming its options.
     p = sub.add_parser(
-        "lint",
-        help=(
-            "determinism-aware static analysis (RNG/DET/ART/FLT rules; "
-            "--project adds whole-program ASYNC/DUR/SOA rules)"
-        ),
+        "lint", prefix_chars="+", add_help=False,
+        help="determinism-aware static analysis (`repro lint --help` for options)",
     )
-    p.add_argument("paths", nargs="*", default=["src", "tests"],
-                   help="files or directories to lint (default: src tests)")
-    p.add_argument("--select", default=None,
-                   help="comma-separated rule ids or families (e.g. RNG,DET002)")
-    p.add_argument("--format", dest="lint_format",
-                   choices=("text", "json", "sarif"),
-                   default="text", help="report format")
-    p.add_argument("--project", action="store_true",
-                   help="also run the whole-program pass (call graph, "
-                   "ASYNC/DUR/SOA rule families)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel worker processes for the per-file stage")
-    p.add_argument("--stats", action="store_true",
-                   help="print per-phase/per-rule timing report to stderr")
-    p.add_argument("--list-rules", action="store_true",
-                   help="print the rule catalogue and exit")
+    p.add_argument("lint_args", nargs=argparse.REMAINDER)
     p.set_defaults(func=cmd_lint)
 
     return parser

@@ -2,35 +2,32 @@
 
 The dynamic test suite pins reproducibility *after* the fact (bitwise
 campaign regression tests, twin-manager equivalence properties); this
-package defends the same contracts *statically*, before code merges:
+package defends the same contracts *statically*, before code merges.
+A rule stays only while it catches a bug no tier-1 test catches
+(DESIGN.md §11 names the mutant for each).
 
-* **RNG discipline** (``RNG001``–``RNG003``) — no process-global
-  ``random`` / legacy ``numpy.random`` state; stochastic components
-  accept an injected, seeded generator.
-* **Determinism hazards** (``DET001``–``DET004``) — no unordered set
-  iteration into order-sensitive paths, no ``id()`` keying, no
-  wall-clock reads inside simulation logic, no ``.item()``-laundered
-  float accumulation inside the bitwise-pinned numeric packages.
+Per-file rules (:mod:`repro.lint.checkers`):
+
+* **RNG discipline** (``RNG003``) — no legacy ``RandomState``; seeded
+  generators come from ``default_rng``/``SeedSequence``.
+* **Determinism hazards** (``DET001``, ``DET003``) — no unordered set
+  iteration into order-sensitive paths, no wall-clock reads inside
+  simulation logic.
 * **Artifact discipline** (``ART001``) — artifact writes go through the
   atomic tmp-then-rename primitives.
 * **Float discipline** (``FLT001``) — invariant/audit code never
   compares floats with ``==`` against non-integral literals.
+* **Durability** (``DUR003``) — fd-level durability stays inside
+  ``repro.service.wal``.
 
-With ``--project``, three whole-program families run over a
-cross-module symbol index, call graph and must-facts dataflow
-(:mod:`repro.lint.project` / ``graph`` / ``dataflow``):
+Whole-program rules, over a cross-module symbol index and call graph
+(:mod:`repro.lint.project` / ``graph``):
 
 * **Async safety** (``ASYNC001``–``ASYNC003``) — no blocking call
   reachable from the service's ``async def``s, no dropped coroutines,
   no serving shared state written off the batcher path.
-* **Durability ordering** (``DUR001``–``DUR003``) — manager mutations
-  dominated by WAL/journal appends, journals reach their flush, and
-  fd-level durability stays inside ``repro.service.wal``.
-* **SoA coherence** (``SOA001``–``SOA002``) — writers of LinkTable's
-  ``headroom`` inputs refresh the touched cells in the same function,
-  and the ``failed``/``failed_py`` mirror never splits.
 
-Run it with ``python -m repro.lint [paths...] [--project]`` or
+Run both passes with ``python -m repro.lint [paths...]`` or
 ``repro lint``; suppress deliberate uses with
 ``# repro-lint: disable=RULE — reason``.
 """
@@ -38,34 +35,21 @@ Run it with ``python -m repro.lint [paths...] [--project]`` or
 from __future__ import annotations
 
 from repro.lint.engine import (
-    PARSE_ERROR_RULE,
-    LintedFile,
-    LintReport,
-    collect_suppressions,
     iter_python_files,
-    lint_file,
-    lint_paths,
     lint_project_sources,
     lint_source,
     run_lint,
 )
 from repro.lint.findings import Finding
-from repro.lint.rules import FAMILIES, RULES, RULES_BY_ID, Rule, expand_rule_selection
+from repro.lint.rules import RULES, RULES_BY_ID, Rule, expand_rule_selection
 
 __all__ = [
-    "FAMILIES",
     "Finding",
-    "LintReport",
-    "LintedFile",
-    "PARSE_ERROR_RULE",
     "RULES",
     "RULES_BY_ID",
     "Rule",
-    "collect_suppressions",
     "expand_rule_selection",
     "iter_python_files",
-    "lint_file",
-    "lint_paths",
     "lint_project_sources",
     "lint_source",
     "run_lint",

@@ -1,7 +1,7 @@
 """AST checkers behind the determinism lint rules.
 
 One import-resolution pass records which local names are bound to the
-``random`` / ``numpy.random`` / ``time`` / ``datetime`` modules (and
+``numpy.random`` / ``time`` / ``datetime`` / ``os`` modules (and
 which functions were imported out of them), then a single checking walk
 dispatches every rule, so a file is parsed and traversed exactly once
 no matter how many rules are enabled.
@@ -23,26 +23,6 @@ from typing import Dict, List, Optional, Set
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES_BY_ID, Rule
 
-#: Module-level stdlib ``random`` functions that mutate/read global state.
-_STDLIB_RANDOM_FUNCS = frozenset(
-    {
-        "seed", "random", "uniform", "randint", "randrange", "choice",
-        "choices", "shuffle", "sample", "gauss", "normalvariate",
-        "expovariate", "betavariate", "gammavariate", "lognormvariate",
-        "vonmisesvariate", "paretovariate", "weibullvariate", "triangular",
-        "getrandbits", "randbytes", "binomialvariate", "getstate", "setstate",
-    }
-)
-
-#: ``numpy.random`` attributes that are part of the *new* Generator API
-#: (constructing seeded generators is the whole point of the discipline).
-_NUMPY_RANDOM_ALLOWED = frozenset(
-    {
-        "Generator", "default_rng", "SeedSequence", "BitGenerator",
-        "PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937",
-    }
-)
-
 #: Clock functions whose results leak wall time into simulation state.
 _CLOCK_FUNCS = frozenset(
     {
@@ -52,6 +32,9 @@ _CLOCK_FUNCS = frozenset(
 )
 
 _DATETIME_CLOCK_METHODS = frozenset({"now", "utcnow", "today"})
+
+#: ``os`` functions that act on durability at the fd level (DUR003).
+_FD_DURABILITY_FUNCS = frozenset({"fsync", "fdatasync", "ftruncate", "truncate"})
 
 #: ``open`` mode characters that make the call a write.
 _WRITE_MODE_CHARS = frozenset("wax+")
@@ -70,16 +53,15 @@ class _ImportTable:
     """Which local names resolve to the modules the rules care about."""
 
     def __init__(self) -> None:
-        self.random_mods: Set[str] = set()
-        self.random_funcs: Dict[str, str] = {}
         self.numpy_mods: Set[str] = set()
         self.numpy_random_mods: Set[str] = set()
-        self.numpy_random_funcs: Dict[str, str] = {}
         self.randomstate_names: Set[str] = set()
         self.time_mods: Set[str] = set()
         self.time_funcs: Dict[str, str] = {}
         self.datetime_mods: Set[str] = set()
         self.datetime_classes: Set[str] = set()
+        self.os_mods: Set[str] = set()
+        self.os_funcs: Dict[str, str] = {}
 
     def scan(self, tree: ast.AST) -> None:
         for node in ast.walk(tree):
@@ -91,9 +73,7 @@ class _ImportTable:
     def _scan_import(self, node: ast.Import) -> None:
         for alias in node.names:
             name, bound = alias.name, alias.asname
-            if name == "random":
-                self.random_mods.add(bound or "random")
-            elif name == "numpy":
+            if name == "numpy":
                 self.numpy_mods.add(bound or "numpy")
             elif name == "numpy.random":
                 if bound:
@@ -104,24 +84,23 @@ class _ImportTable:
                 self.time_mods.add(bound or "time")
             elif name == "datetime":
                 self.datetime_mods.add(bound or "datetime")
+            elif name == "os":
+                self.os_mods.add(bound or "os")
 
     def _scan_import_from(self, node: ast.ImportFrom) -> None:
         module = node.module or ""
         for alias in node.names:
             name, local = alias.name, alias.asname or alias.name
-            if module == "random" and name in _STDLIB_RANDOM_FUNCS:
-                self.random_funcs[local] = name
-            elif module == "numpy" and name == "random":
+            if module == "numpy" and name == "random":
                 self.numpy_random_mods.add(local)
-            elif module == "numpy.random":
-                if name == "RandomState":
-                    self.randomstate_names.add(local)
-                elif name not in _NUMPY_RANDOM_ALLOWED:
-                    self.numpy_random_funcs[local] = name
+            elif module == "numpy.random" and name == "RandomState":
+                self.randomstate_names.add(local)
             elif module == "time" and name in _CLOCK_FUNCS:
                 self.time_funcs[local] = name
             elif module == "datetime" and name in {"datetime", "date"}:
                 self.datetime_classes.add(local)
+            elif module == "os" and name in _FD_DURABILITY_FUNCS:
+                self.os_funcs[local] = name
 
 
 def _is_set_expr(node: ast.expr) -> bool:
@@ -189,16 +168,12 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     def _check_name_call(self, node: ast.Call, name: str) -> None:
         imports = self.imports
-        if name in imports.random_funcs:
-            self._report("RNG001", node, f"`{name}` (from random import)")
-        elif name in imports.numpy_random_funcs:
-            self._report("RNG002", node, f"`{name}` (from numpy.random import)")
-        elif name in imports.randomstate_names:
+        if name in imports.randomstate_names:
             self._report("RNG003", node)
         elif name in imports.time_funcs:
             self._report("DET003", node, f"`{name}` (from time import)")
-        elif name == "id":
-            self._report("DET002", node)
+        elif name in imports.os_funcs:
+            self._report("DUR003", node, f"`{name}` (from os import)")
         elif name == "open":
             self._check_open(node)
         elif name in _ORDER_SENSITIVE_BUILTINS:
@@ -214,24 +189,18 @@ class DeterminismVisitor(ast.NodeVisitor):
             return
         if isinstance(value, ast.Name):
             base = value.id
-            if base in imports.random_mods and attr in _STDLIB_RANDOM_FUNCS:
-                self._report("RNG001", node, f"`{base}.{attr}`")
-            elif base in imports.numpy_random_mods:
-                if attr == "RandomState":
-                    self._report("RNG003", node)
-                elif attr not in _NUMPY_RANDOM_ALLOWED:
-                    self._report("RNG002", node, f"`{base}.{attr}`")
+            if base in imports.numpy_random_mods and attr == "RandomState":
+                self._report("RNG003", node)
             elif base in imports.time_mods and attr in _CLOCK_FUNCS:
                 self._report("DET003", node, f"`{base}.{attr}`")
             elif base in imports.datetime_classes and attr in _DATETIME_CLOCK_METHODS:
                 self._report("DET003", node, f"`{base}.{attr}`")
+            elif base in imports.os_mods and attr in _FD_DURABILITY_FUNCS:
+                self._report("DUR003", node, f"`{base}.{attr}`")
         elif isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name):
             root, mid = value.value.id, value.attr
-            if root in imports.numpy_mods and mid == "random":
-                if attr == "RandomState":
-                    self._report("RNG003", node)
-                elif attr not in _NUMPY_RANDOM_ALLOWED:
-                    self._report("RNG002", node, f"`{root}.random.{attr}`")
+            if root in imports.numpy_mods and mid == "random" and attr == "RandomState":
+                self._report("RNG003", node)
             elif (
                 root in imports.datetime_mods
                 and mid in {"datetime", "date"}
@@ -288,21 +257,6 @@ class DeterminismVisitor(ast.NodeVisitor):
     def visit_Starred(self, node: ast.Starred) -> None:
         if _is_set_expr(node.value):
             self._report("DET001", node.value, "`*<set>` unpacking")
-        self.generic_visit(node)
-
-    # -- float accumulation drift (DET004) ------------------------------
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            for sub in ast.walk(node.value):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr == "item"
-                    and not sub.args
-                    and not sub.keywords
-                ):
-                    self._report("DET004", node, "`.item()` in `+=`/`-=`")
-                    break
         self.generic_visit(node)
 
     # -- float equality (FLT001) ----------------------------------------

@@ -1,28 +1,19 @@
 """Command-line front end: ``python -m repro.lint`` / ``repro lint``.
 
+Runs the per-file and the whole-program pass over the given paths and
+prints one finding per block with the fix hint indented beneath it.
 Exit codes: 0 — clean; 1 — findings (or unparseable files); 2 — bad
-invocation.  ``--format json`` emits a machine-readable artifact (one
-object with the rule catalogue version and the findings list) for CI
-annotation; ``--format sarif`` emits a SARIF 2.1.0 log for code-scanning
-upload; the default text format is one finding per block with the fix
-hint indented beneath it.  ``--project`` additionally runs the
-whole-program ASYNC/DUR/SOA families over the combined tree set;
-``--jobs N`` parallelizes the per-file stage; ``--stats`` appends a
-per-phase/per-rule timing report to stderr so the CI budget assertion
-has numbers to check.
+invocation.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.lint.engine import LintReport, run_lint
-from repro.lint.findings import Finding
+from repro.lint.engine import run_lint
 from repro.lint.rules import RULES, expand_rule_selection
-from repro.lint.sarif import render_sarif
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,8 +22,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Determinism-aware static analysis for the repro codebase: RNG "
             "discipline, determinism hazards, atomic-artifact discipline, "
-            "float-equality checks, and (with --project) whole-program "
-            "async-safety, durability-ordering and SoA-coherence rules."
+            "float-equality and fd-durability checks, and whole-program "
+            "async-safety rules for the service."
         ),
     )
     parser.add_argument(
@@ -45,57 +36,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         metavar="RULES",
-        help="comma-separated rule ids or families to run (e.g. RNG,DET002)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "also run the whole-program pass (module resolver, call graph, "
-            "ASYNC/DUR/SOA rule families) over the combined tree set"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parallel worker processes for the per-file stage (default: 1)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print per-phase and per-rule timing/count report to stderr",
+        help="comma-separated rule ids or families to run (e.g. RNG,DET003)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue and exit"
     )
     return parser
-
-
-def _render_text(findings: List[Finding]) -> str:
-    lines = [finding.render() for finding in findings]
-    noun = "finding" if len(findings) == 1 else "findings"
-    lines.append(f"repro.lint: {len(findings)} {noun}")
-    return "\n".join(lines)
-
-
-def _render_json(findings: List[Finding], paths: Sequence[str]) -> str:
-    return json.dumps(
-        {
-            "tool": "repro.lint",
-            "paths": list(paths),
-            "findings": [finding.to_json() for finding in findings],
-            "count": len(findings),
-        },
-        indent=2,
-    )
 
 
 def _render_rules() -> str:
@@ -108,47 +54,27 @@ def _render_rules() -> str:
     return "\n".join(lines)
 
 
-def render_stats(report: LintReport) -> str:
-    """The ``--stats`` block: phases, then per-rule finding counts."""
-    lines = [f"repro.lint stats: {report.files} files"]
-    for phase, seconds in report.timings.items():
-        lines.append(f"  {phase:<22s} {seconds * 1000.0:9.1f} ms")
-    if report.rule_counts:
-        lines.append("  findings by rule:")
-        for rule_id in sorted(report.rule_counts):
-            lines.append(f"    {rule_id:<10s} {report.rule_counts[rule_id]}")
-    return "\n".join(lines)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_rules:
         print(_render_rules())
         return 0
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
     select = None
     if args.select:
         try:
             select = expand_rule_selection(tuple(args.select.split(",")))
         except ValueError as exc:
             parser.error(str(exc))
-    report = run_lint(
-        args.paths, select=select, project=args.project, jobs=args.jobs
-    )
-    findings = report.findings
-    if args.format == "json":
-        print(_render_json(findings, args.paths))
-    elif args.format == "sarif":
-        print(render_sarif(findings))
-    elif findings:
-        print(_render_text(findings))
-    else:
+    findings = run_lint(args.paths, select=select)
+    if not findings:
         print("repro.lint: clean")
-    if args.stats:
-        print(render_stats(report), file=sys.stderr)
-    return 1 if findings else 0
+        return 0
+    for finding in findings:
+        print(finding.render())
+    noun = "finding" if len(findings) == 1 else "findings"
+    print(f"repro.lint: {len(findings)} {noun}")
+    return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -17,42 +17,23 @@ literals, so documentation quoting a directive does not disable it.
 
 Two passes share one parse.  Every file is read, tokenized (for
 suppressions) and parsed exactly once per run into a
-:class:`LintedFile`; the per-file rules walk that AST, and — under
-``--project`` — the same trees feed the whole-program index
-(:mod:`repro.lint.project`), call graph and ASYNC/DUR/SOA rules.
-``jobs > 1`` fans the per-file stage out over a process pool (workers
-return the parsed trees, which pickle fine); the project pass then runs
-in the parent over the combined tree set, so parallelism never changes
-the analysis result, only the wall time.
+:class:`LintedFile`; the per-file rules walk that AST, and the same
+trees feed the whole-program index (:mod:`repro.lint.project`), call
+graph and ASYNC rules.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import time
 import tokenize
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.checkers import check_tree
 from repro.lint.findings import Finding
 from repro.lint.rules import RULES, RULES_BY_ID
-
-#: Pseudo-rule id attached to unparseable files; cannot be suppressed.
-PARSE_ERROR_RULE = "LNT000"
 
 _DIRECTIVE = "repro-lint:"
 
@@ -60,12 +41,6 @@ _DIRECTIVE = "repro-lint:"
 _SKIP_DIRS = frozenset(
     {"__pycache__", ".git", ".hypothesis", ".pytest_cache", "build", "dist"}
 )
-
-
-def _now() -> float:
-    """Monotonic stamp for ``--stats`` phase timing (tooling-plane only,
-    never part of any analysis result)."""
-    return time.perf_counter()  # repro-lint: disable=DET003 — lint's own --stats timing, not simulator state
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
@@ -92,8 +67,6 @@ class _Suppressions:
         self.file_rules = file_rules
 
     def allows(self, finding: Finding) -> bool:
-        if finding.rule == PARSE_ERROR_RULE:
-            return True
         if _covers(self.file_rules, finding.rule):
             return False
         return not _covers(self.line_rules.get(finding.line, set()), finding.rule)
@@ -136,21 +109,17 @@ def collect_suppressions(source: str) -> _Suppressions:
     """Extract suppression directives from real comment tokens."""
     line_rules: Dict[int, Set[str]] = {}
     file_rules: Set[str] = set()
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            parsed = _parse_directive(token.string)
-            if parsed is None:
-                continue
-            scope, ids = parsed
-            if scope == "disable-file":
-                file_rules.update(ids)
-            else:
-                line_rules.setdefault(token.start[0], set()).update(ids)
-    except tokenize.TokenError:
-        pass  # the parse-error finding covers the broken file
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        parsed = _parse_directive(token.string)
+        if parsed is None:
+            continue
+        scope, ids = parsed
+        if scope == "disable-file":
+            file_rules.update(ids)
+        else:
+            line_rules.setdefault(token.start[0], set()).update(ids)
     return _Suppressions(line_rules, file_rules)
 
 
@@ -159,68 +128,34 @@ def collect_suppressions(source: str) -> _Suppressions:
 # ----------------------------------------------------------------------
 @dataclass
 class LintedFile:
-    """One file, read+tokenized+parsed exactly once per run.
-
-    Both passes (per-file rules, whole-program rules) consume this; the
-    tree is ``None`` only when the file does not parse, in which case
-    ``parse_finding`` carries the LNT000 finding.
-    """
+    """One file, read+tokenized+parsed exactly once per run; both passes
+    (per-file rules, whole-program rules) consume it."""
 
     path: str
-    tree: Optional[ast.Module]
+    tree: ast.Module
     suppressions: _Suppressions
-    parse_finding: Optional[Finding] = None
 
 
 def parse_file_source(source: str, path: str) -> LintedFile:
-    """Build the shared parse artifact for one in-memory module."""
-    suppressions = collect_suppressions(source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return LintedFile(
-            path=path,
-            tree=None,
-            suppressions=suppressions,
-            parse_finding=Finding(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule=PARSE_ERROR_RULE,
-                message=f"file does not parse: {exc.msg}",
-                hint="fix the syntax error; nothing else was checked",
-            ),
-        )
-    return LintedFile(path=path, tree=tree, suppressions=suppressions)
+    """Build the shared parse artifact for one in-memory module.
+
+    Raises:
+        SyntaxError: the module does not parse.  The run stops there; a
+            module that does not parse fails tier-1 at import anyway.
+    """
+    tree = ast.parse(source, filename=path)
+    return LintedFile(path, tree, collect_suppressions(source))
 
 
 def load_file(path: Path) -> LintedFile:
     """Read and parse one on-disk file into the shared artifact."""
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return LintedFile(
-            path=str(path),
-            tree=None,
-            suppressions=_Suppressions({}, set()),
-            parse_finding=Finding(
-                path=str(path),
-                line=1,
-                col=0,
-                rule=PARSE_ERROR_RULE,
-                message=f"file cannot be read: {exc}",
-                hint="",
-            ),
-        )
-    return parse_file_source(source, str(path))
+    return parse_file_source(path.read_text(encoding="utf-8"), str(path))
 
 
 def _file_pass(
     linted: LintedFile, select: Optional[Set[str]]
 ) -> List[Finding]:
     """Per-file rules over one already-parsed file, suppression-filtered."""
-    if linted.tree is None:
-        return [linted.parse_finding] if linted.parse_finding else []
     posix = linted.path.replace("\\", "/")
     enabled = {
         rule.id
@@ -235,65 +170,26 @@ def _file_pass(
     return kept
 
 
-def _lint_worker(
-    args: Tuple[str, Optional[Tuple[str, ...]], bool]
-) -> Tuple[str, Optional[ast.Module], _Suppressions, List[Finding]]:
-    """Process-pool unit: load, file-pass, and (if the project pass will
-    run) ship the parsed tree back to the parent."""
-    path, select, need_tree = args
-    linted = load_file(Path(path))
-    select_set = None if select is None else set(select)
-    findings = _file_pass(linted, select_set)
-    return (path, linted.tree if need_tree else None, linted.suppressions, findings)
-
-
 # ----------------------------------------------------------------------
 # orchestration
 # ----------------------------------------------------------------------
-@dataclass
-class LintReport:
-    """Findings plus the ``--stats`` accounting of one run."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files: int = 0
-    #: phase -> seconds (discovery / file-pass / project-index /
-    #: call-graph / project:<RULE>).
-    timings: Dict[str, float] = field(default_factory=dict)
-    #: rule id -> finding count (post-suppression).
-    rule_counts: Dict[str, int] = field(default_factory=dict)
-
-    def count(self, findings: Iterable[Finding]) -> None:
-        for finding in findings:
-            self.rule_counts[finding.rule] = self.rule_counts.get(finding.rule, 0) + 1
-
-
 def _project_pass(
     files: List[Tuple[str, ast.Module]],
     suppressions: Dict[str, _Suppressions],
     select: Optional[Set[str]],
-    report: Optional[LintReport] = None,
 ) -> List[Finding]:
     """Whole-program rules over the already-parsed tree set."""
-    # Imported lazily so plain per-file runs never pay for the project
-    # machinery (and a defect there cannot break the basic lint).
     from repro.lint.graph import build_call_graph
     from repro.lint.project import build_project_index
     from repro.lint.project_rules import PROJECT_CHECKS
 
-    t0 = _now()
     index = build_project_index(files)
-    t1 = _now()
     graph = build_call_graph(index)
-    t2 = _now()
-    if report is not None:
-        report.timings["project-index"] = t1 - t0
-        report.timings["call-graph"] = t2 - t1
     findings: List[Finding] = []
     for rule_id, check in PROJECT_CHECKS:
         if select is not None and rule_id not in select:
             continue
         rule = RULES_BY_ID[rule_id]
-        t_rule = _now()
         for finding in check(index, graph):
             if not rule.applies_to(finding.path):
                 continue
@@ -301,79 +197,35 @@ def _project_pass(
             if supp is not None and not supp.allows(finding):
                 continue
             findings.append(finding)
-        if report is not None:
-            report.timings[f"project:{rule_id}"] = _now() - t_rule
     findings.sort()
     return findings
 
 
 def run_lint(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    project: bool = False,
-    jobs: int = 1,
-) -> LintReport:
-    """Full engine run: discovery, file pass (optionally parallel), and
-    — with ``project=True`` — the whole-program pass."""
-    report = LintReport()
+    paths: Sequence[str], select: Optional[Iterable[str]] = None
+) -> List[Finding]:
+    """Both passes over every python file under ``paths``; sorted findings."""
     select_set = None if select is None else set(select)
-    t0 = _now()
-    files = [str(p) for p in iter_python_files(paths)]
-    report.files = len(files)
-    report.timings["discovery"] = _now() - t0
-
-    t1 = _now()
     trees: List[Tuple[str, ast.Module]] = []
     supp_map: Dict[str, _Suppressions] = {}
     findings: List[Finding] = []
-    select_tuple = None if select_set is None else tuple(sorted(select_set))
-    work = [(path, select_tuple, project) for path in files]
-    if jobs > 1 and len(files) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, len(work) // (jobs * 4))
-            results = list(pool.map(_lint_worker, work, chunksize=chunk))
-    else:
-        results = [_lint_worker(item) for item in work]
-    for path, tree, suppressions, file_findings in results:
-        findings.extend(file_findings)
-        supp_map[path] = suppressions
-        if tree is not None:
-            trees.append((path, tree))
-    report.timings["file-pass"] = _now() - t1
-
-    if project:
-        findings.extend(_project_pass(trees, supp_map, select_set, report))
+    for path in iter_python_files(paths):
+        linted = load_file(path)
+        findings.extend(_file_pass(linted, select_set))
+        supp_map[linted.path] = linted.suppressions
+        trees.append((linted.path, linted.tree))
+    findings.extend(_project_pass(trees, supp_map, select_set))
     findings.sort()
-    report.findings = findings
-    report.count(findings)
-    report.timings["total"] = _now() - t0
-    return report
+    return findings
 
 
-# ----------------------------------------------------------------------
-# stable public helpers (API kept from the per-file-only engine)
-# ----------------------------------------------------------------------
 def lint_source(
     source: str, path: str, select: Optional[Iterable[str]] = None
 ) -> List[Finding]:
-    """Lint one in-memory module; ``path`` decides rule applicability."""
+    """Per-file pass over one in-memory module; ``path`` decides rule
+    applicability."""
     linted = parse_file_source(source, path)
     return _file_pass(linted, None if select is None else set(select))
-
-
-def lint_file(path: Path, select: Optional[Iterable[str]] = None) -> List[Finding]:
-    """Lint one on-disk file."""
-    return _file_pass(load_file(path), None if select is None else set(select))
-
-
-def lint_paths(
-    paths: Sequence[str],
-    select: Optional[Iterable[str]] = None,
-    project: bool = False,
-    jobs: int = 1,
-) -> List[Finding]:
-    """Lint every python file under ``paths`` and return sorted findings."""
-    return run_lint(paths, select=select, project=project, jobs=jobs).findings
 
 
 def lint_project_sources(
@@ -381,32 +233,14 @@ def lint_project_sources(
 ) -> List[Finding]:
     """Project pass over in-memory modules (fixture/test entry point).
 
-    Runs *only* the whole-program rules — per-file families have their
+    Runs *only* the whole-program rules — per-file rules have their
     own fixture helper (:func:`lint_source`) — but applies the same
-    applicability/suppression filtering the CLI run would.
+    applicability/suppression filtering :func:`run_lint` does.
     """
     trees: List[Tuple[str, ast.Module]] = []
     supp_map: Dict[str, _Suppressions] = {}
-    findings: List[Finding] = []
     for path, source in sources.items():
         linted = parse_file_source(source, path)
         supp_map[path] = linted.suppressions
-        if linted.tree is None:
-            if linted.parse_finding is not None:
-                findings.append(linted.parse_finding)
-            continue
         trees.append((path, linted.tree))
-    select_set = None if select is None else set(select)
-    findings.extend(_project_pass(trees, supp_map, select_set))
-    findings.sort()
-    return findings
-
-
-def unknown_suppressed_rules(source: str) -> Set[str]:
-    """Rule ids referenced by directives that do not exist (QA helper)."""
-    suppressions = collect_suppressions(source)
-    referenced: Set[str] = set(suppressions.file_rules)
-    for rules in suppressions.line_rules.values():
-        referenced.update(rules)
-    referenced.discard("all")
-    return {rule for rule in referenced if rule not in RULES_BY_ID}
+    return _project_pass(trees, supp_map, None if select is None else set(select))

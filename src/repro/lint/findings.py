@@ -2,14 +2,13 @@
 
 A finding pins one rule violation to one source location and carries a
 machine-readable rule id plus a human-oriented fix hint, so the same
-object can back the text report, the JSON artifact consumed by CI, and
-the fixture assertions in the lint test suite.
+object backs the text report and the fixture assertions in the lint
+test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
 
 
 @dataclass(frozen=True, order=True)
@@ -20,7 +19,7 @@ class Finding:
         path: File the violation lives in (as given to the engine).
         line: 1-based line of the offending node.
         col: 0-based column of the offending node.
-        rule: Rule id, e.g. ``"RNG001"``.
+        rule: Rule id, e.g. ``"DET003"``.
         message: What is wrong, phrased against this code.
         hint: How to fix it (or how to suppress a deliberate use).
     """
@@ -39,13 +38,3 @@ class Finding:
             text += f"\n    hint: {self.hint}"
         return text
 
-    def to_json(self) -> Dict[str, Any]:
-        """JSON-serialisable form for ``--format json`` artifacts."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-            "hint": self.hint,
-        }

@@ -1,10 +1,10 @@
 """Whole-program model behind the project lint pass.
 
 The per-file checkers (:mod:`repro.lint.checkers`) are deliberately
-blind to anything outside one module; the protocol rules added for the
-service and SoA layers (ASYNC/DUR/SOA families) need to know *who calls
-whom* and *what type a receiver is* across module boundaries.  This
-module builds that picture from the already-parsed ASTs:
+blind to anything outside one module; the service's event-loop rules
+(the ASYNC family) need to know *who calls whom* and *what type a
+receiver is* across module boundaries.  This module builds that
+picture from the already-parsed ASTs:
 
 * a **module table** mapping dotted module names to parse trees, with
   each module's import bindings resolved to fully-qualified targets
@@ -12,8 +12,8 @@ module builds that picture from the already-parsed ASTs:
   binds ``ReplayLogWriter`` to ``repro.service.wal.ReplayLogWriter``);
 * a **symbol table** of every function, method and class, keyed by
   qualified name, with re-export chains chased through package
-  ``__init__`` modules (``repro.lint.lint_paths`` canonicalizes to
-  ``repro.lint.engine.lint_paths``);
+  ``__init__`` modules (``repro.lint.run_lint`` canonicalizes to
+  ``repro.lint.engine.run_lint``);
 * **lightweight type inference** — parameter annotations, ``self``,
   ``x = ClassName(...)`` constructor assignments, and instance-attribute
   types gathered from ``__init__`` bodies (``self.engine:
@@ -121,9 +121,6 @@ class ProjectIndex:
         self.classes: Dict[str, ClassInfo] = {}
         #: bare method/function name -> qualified names (fallback index).
         self.by_name: Dict[str, List[str]] = {}
-        #: scratch space for rule passes that share per-function results
-        #: (e.g. the SOA column-write scan) within one run.
-        self.memo: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # resolution
@@ -151,9 +148,9 @@ class ProjectIndex:
     def canonicalize(self, qual: str, _seen: Optional[Set[str]] = None) -> str:
         """Chase re-exports until ``qual`` names a real definition.
 
-        ``repro.lint.lint_paths`` (bound by the package ``__init__``
+        ``repro.lint.run_lint`` (bound by the package ``__init__``
         from ``repro.lint.engine``) canonicalizes to
-        ``repro.lint.engine.lint_paths``.  Unknown prefixes (stdlib,
+        ``repro.lint.engine.run_lint``.  Unknown prefixes (stdlib,
         third-party) are returned unchanged.
         """
         seen = _seen if _seen is not None else set()

@@ -7,27 +7,23 @@ lint pass makes the same contracts hold *statically*, at commit time.
 
 Rule families:
 
-``RNG``  RNG discipline — every stochastic component must draw from an
-         injected, seeded generator; process-global RNG state is banned.
-``DET``  Determinism hazards — unordered iteration, ``id()`` keying and
-         wall-clock reads that can silently change simulator output.
+``RNG``  RNG discipline — seeded generators come from the ``Generator``/
+         ``SeedSequence`` API, never legacy ``RandomState``.
+``DET``  Determinism hazards — unordered iteration and wall-clock
+         reads that can silently change simulator output.
 ``ART``  Artifact discipline — result files must go through the atomic
          tmp-then-rename write primitives so a crash never truncates.
 ``FLT``  Float discipline — invariant/audit code must not compare
          floats with ``==`` against non-integral literals.
+``DUR``  Durability — fd-level durability (``os.fsync`` & co.) stays
+         inside the WAL layer.
 
-Project-level families (``--project``; need the whole-program call
-graph and type index from :mod:`repro.lint.project`):
+Whole-program family (needs the call graph and type index from
+:mod:`repro.lint.project`):
 
 ``ASYNC`` Event-loop safety — no blocking call reachable from the
           service's ``async def``s, no dropped coroutines, no serving
           shared state written off the batcher path.
-``DUR``   Durability ordering — manager mutations dominated by a WAL/
-          journal append on all call-graph paths; journals reach flush;
-          fd-level durability stays inside the WAL layer.
-``SOA``   Aggregate coherence — writers of LinkTable's headroom inputs
-          refresh the touched cells in the same function; the failed/
-          failed_py mirror never splits.
 
 Each rule knows which paths it applies to: wall-clock reads are the
 whole point of the timing infrastructure under ``repro/parallel`` and
@@ -77,30 +73,27 @@ def _src_only(path: str) -> bool:
     return "tests" not in parts and not parts[-1].startswith("test_")
 
 
-#: Packages whose float trajectories the validation contract pins
-#: bitwise (they also carry strict mypy settings — see pyproject.toml).
-_PINNED_PACKAGES = ("repro/markov/", "repro/routing/", "repro/network/", "repro/elastic/")
-
-
-def _pinned_packages_only(path: str) -> bool:
-    """Only the bitwise-pinned numeric packages."""
-    return any(pkg in path for pkg in _PINNED_PACKAGES)
-
-
 def _service_src_only(path: str) -> bool:
     """Service-layer sources (the findings of the service-protocol rules
     always land there; test doubles are free to fake the protocols)."""
     return "repro/service/" in path and _src_only(path)
 
 
+#: The WAL layer and the chaos harness wrapping it own fd-level durability.
+_WAL_MODULES = ("repro/service/wal.py", "repro/service/chaos.py")
+
+
+def _service_src_outside_wal(path: str) -> bool:
+    return _service_src_only(path) and not path.endswith(_WAL_MODULES)
+
+
 @dataclass(frozen=True)
 class Rule:
     """One lint rule: identity, rationale, and path applicability.
 
-    ``project=True`` marks whole-program rules: they run only under
-    ``--project`` (they need the cross-module index) and their
-    ``applies`` predicate filters where *findings* may land rather than
-    which files are analysed.
+    ``project=True`` marks whole-program rules: they run over the
+    cross-module index, and their ``applies`` predicate filters where
+    *findings* may land rather than which files are analysed.
     """
 
     id: str
@@ -116,31 +109,6 @@ class Rule:
 
 
 RULES: Tuple[Rule, ...] = (
-    Rule(
-        id="RNG001",
-        name="stdlib-global-random",
-        summary=(
-            "call to a process-global `random` module function; stochastic "
-            "code must draw from an injected `random.Random(seed)` instance"
-        ),
-        hint=(
-            "accept a seeded `random.Random` (or numpy Generator) parameter "
-            "and call its bound methods instead"
-        ),
-    ),
-    Rule(
-        id="RNG002",
-        name="numpy-legacy-global-random",
-        summary=(
-            "call into numpy's legacy global RNG (`np.random.<fn>`); every "
-            "stochastic component must accept a `numpy.random.Generator` "
-            "spawned from the campaign `SeedSequence`"
-        ),
-        hint=(
-            "thread a `numpy.random.Generator` (from `default_rng(seed)` or "
-            "`SeedSequence.spawn`) through the call chain"
-        ),
-    ),
     Rule(
         id="RNG003",
         name="legacy-randomstate",
@@ -161,20 +129,6 @@ RULES: Tuple[Rule, ...] = (
         hint="wrap the set in `sorted(...)` before iterating",
     ),
     Rule(
-        id="DET002",
-        name="id-as-key",
-        summary=(
-            "`id(...)` call; object ids are allocation addresses — keying a "
-            "cache or memo on them breaks across processes and silently "
-            "aliases once an object is garbage-collected"
-        ),
-        hint=(
-            "key on a stable identity (conn_id, a frozen dataclass, an "
-            "explicit token); for debug-only prints, suppress with "
-            "`# repro-lint: disable=DET002`"
-        ),
-    ),
-    Rule(
         id="DET003",
         name="wall-clock-in-sim",
         summary=(
@@ -187,23 +141,6 @@ RULES: Tuple[Rule, ...] = (
             "`repro.parallel` / the benchmark layer"
         ),
         applies=_not_timing_infra,
-    ),
-    Rule(
-        id="DET004",
-        name="item-accumulation-drift",
-        summary=(
-            "`+=`/`-=` accumulation whose right-hand side extracts a "
-            "scalar via `.item()`; in a bitwise-pinned package the "
-            "dtype-laundered Python float can drift from the column "
-            "arithmetic it mirrors, so the scalar and vectorized "
-            "trajectories silently diverge"
-        ),
-        hint=(
-            "accumulate in the array column itself (or on values read "
-            "without `.item()`) so scalar and vector paths share one "
-            "float trajectory"
-        ),
-        applies=_pinned_packages_only,
     ),
     Rule(
         id="ART001",
@@ -230,6 +167,20 @@ RULES: Tuple[Rule, ...] = (
             "exactly-representable quantity"
         ),
         applies=_src_only,
+    ),
+    Rule(
+        id="DUR003",
+        name="fd-durability-outside-wal",
+        summary=(
+            "direct `os.fsync`/`os.fdatasync`/`os.(f)truncate` outside "
+            "repro.service.wal; fd-level durability elsewhere bypasses the "
+            "WAL's tear detection, fault injection, and repair accounting"
+        ),
+        hint=(
+            "go through the WAL layer, or suppress with a reason for "
+            "recovery-time surgery the WAL re-verifies afterwards"
+        ),
+        applies=_service_src_outside_wal,
     ),
     Rule(
         id="ASYNC001",
@@ -273,86 +224,12 @@ RULES: Tuple[Rule, ...] = (
         applies=_service_src_only,
         project=True,
     ),
-    Rule(
-        id="DUR001",
-        name="mutation-not-durability-dominated",
-        summary=(
-            "manager mutation not dominated on every call-graph path by a "
-            "WAL append (`log_events`), a journal append, or an explicit "
-            "`wal is None` check; a crash between apply and log loses an "
-            "acked event"
-        ),
-        hint=(
-            "follow the write-ahead discipline of ServiceEngine.apply_batch: "
-            "validate, append+fsync, then apply"
-        ),
-        applies=_service_src_only,
-        project=True,
-    ),
-    Rule(
-        id="DUR002",
-        name="journal-never-flushed",
-        summary=(
-            "a degraded-mode journal collects operations but no async-"
-            "reachable method flushes it to the WAL via `log_events`; "
-            "journaled ops would never become durable"
-        ),
-        hint=(
-            "add a probation/drain flush (`wal.log_events(self.<journal>)`) "
-            "reachable from the batcher, as in AdmissionService._rearm"
-        ),
-        applies=_service_src_only,
-        project=True,
-    ),
-    Rule(
-        id="DUR003",
-        name="fd-durability-outside-wal",
-        summary=(
-            "direct `os.fsync`/`os.fdatasync`/`os.(f)truncate` outside "
-            "repro.service.wal; fd-level durability elsewhere bypasses the "
-            "WAL's tear detection, fault injection, and repair accounting"
-        ),
-        hint=(
-            "go through the WAL layer, or suppress with a reason for "
-            "recovery-time surgery the WAL re-verifies afterwards"
-        ),
-        applies=_service_src_only,
-        project=True,
-    ),
-    Rule(
-        id="SOA001",
-        name="stale-aggregate-write",
-        summary=(
-            "LinkTable `headroom` input (primary_min/activated/"
-            "backup_reserved/capacity) written without `_refresh_cell`/"
-            "`refresh_cells` in the same function; the materialized "
-            "headroom column goes stale"
-        ),
-        hint=(
-            "refresh the touched cells with `_refresh_cell`/`refresh_cells` "
-            "(per-cell refresh, DESIGN.md §13.2)"
-        ),
-        applies=_src_only,
-        project=True,
-    ),
-    Rule(
-        id="SOA002",
-        name="failed-mask-mirror-split",
-        summary=(
-            "LinkTable `failed` written without `failed_py` in the same "
-            "function (or vice versa); the numpy mask and its Python "
-            "mirror diverge and the sequential tail reads stale state"
-        ),
-        hint="write both sides together, as LinkTable.fail/repair do",
-        applies=_src_only,
-        project=True,
-    ),
 )
 
 RULES_BY_ID: Dict[str, Rule] = {rule.id: rule for rule in RULES}
 
 #: Rule ids grouped by family prefix, for `--select RNG` style filters.
-FAMILIES: Tuple[str, ...] = ("RNG", "DET", "ART", "FLT", "ASYNC", "DUR", "SOA")
+FAMILIES: Tuple[str, ...] = ("RNG", "DET", "ART", "FLT", "DUR", "ASYNC")
 
 
 def expand_rule_selection(tokens: Tuple[str, ...]) -> Tuple[str, ...]:

@@ -355,11 +355,6 @@ class LinkTable:
         self.activated[li] += b_min
         self._refresh_cell(li)
 
-    def release_activated(self, li: int, b_min: float) -> None:
-        """Release a live (previously activated) backup channel."""
-        self.activated[li] -= b_min
-        self._refresh_cell(li)
-
     # ------------------------------------------------------------------
     # capacity mutation (scenario hook)
     # ------------------------------------------------------------------

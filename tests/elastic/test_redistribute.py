@@ -167,7 +167,7 @@ class TestLocality:
 
 class TestScalarCacheKeying:
     """Grants depend on a contract's *value*, never on which object
-    carries it (the hazard repro.lint DET002 polices in ``id()`` keys):
+    carries it (the hazard of an ``id()``-keyed cache):
     grants, levels and per-link extras are identical whether contracts
     are aliased, duplicated, or mixed."""
 

@@ -1,6 +1,5 @@
 """Engine, CLI, and repo-wide meta-tests for ``repro.lint``."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -8,17 +7,14 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    PARSE_ERROR_RULE,
     RULES,
     RULES_BY_ID,
     expand_rule_selection,
     iter_python_files,
-    lint_paths,
     lint_source,
     run_lint,
 )
 from repro.lint.cli import main as lint_main
-from repro.lint.sarif import SARIF_VERSION, to_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -34,11 +30,11 @@ class TestSuppressionDirectives:
         assert [(f.rule, f.line) for f in findings] == [("DET003", 3)]
 
     def test_line_directive_is_rule_specific(self):
-        src = "import time\nt = time.time()  # repro-lint: disable=DET002\n"
+        src = "import time\nt = time.time()  # repro-lint: disable=FLT001\n"
         assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["DET003"]
 
     def test_disable_all_on_line(self):
-        src = "cache[id(x)] = time.time()  # repro-lint: disable=all\nimport time\n"
+        src = "ok = time.time() == 0.5  # repro-lint: disable=all\nimport time\n"
         assert lint_source(src, "src/repro/sim/x.py") == []
 
     def test_file_directive_covers_whole_file(self):
@@ -55,45 +51,39 @@ class TestSuppressionDirectives:
             "# repro-lint: disable-file=DET003\n"
             "import time\n"
             "a = time.time()\n"
-            "cache[id(x)] = a\n"
+            "ok = a == 0.5\n"
         )
-        assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["DET002"]
+        assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["FLT001"]
 
     def test_directive_inside_string_literal_is_ignored(self):
         src = (
-            'doc = "suppress with # repro-lint: disable=DET002"\n'
-            "cache[id(x)] = 1\n"
+            'doc = "suppress with # repro-lint: disable=FLT001"\n'
+            "ok = x == 0.5\n"
         )
-        assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["DET002"]
+        assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["FLT001"]
 
     def test_typoed_rule_id_does_not_suppress(self):
-        src = "cache[id(x)] = 1  # repro-lint: disable=DET002X\n"
-        assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["DET002"]
+        src = "ok = x == 0.5  # repro-lint: disable=FLT001X\n"
+        assert [f.rule for f in lint_source(src, "src/repro/sim/x.py")] == ["FLT001"]
 
 
 class TestEngineBasics:
-    def test_parse_error_becomes_finding(self):
-        findings = lint_source("def broken(:\n", "src/repro/sim/x.py")
-        assert [f.rule for f in findings] == [PARSE_ERROR_RULE]
-
     def test_findings_sorted_and_structured(self):
-        src = "import time\nb = time.time()\ncache[id(x)] = b\n"
+        src = "import time\nb = time.time()\nok = b == 0.5\n"
         findings = lint_source(src, "src/repro/sim/x.py")
-        assert [(f.rule, f.line) for f in findings] == [("DET003", 2), ("DET002", 3)]
+        assert [(f.rule, f.line) for f in findings] == [("DET003", 2), ("FLT001", 3)]
         for finding in findings:
             assert finding.path == "src/repro/sim/x.py"
             assert finding.hint
-            data = finding.to_json()
-            assert set(data) == {"path", "line", "col", "rule", "message", "hint"}
 
     def test_select_narrows_rules(self):
-        src = "import time\nb = time.time()\ncache[id(x)] = b\n"
-        findings = lint_source(src, "src/repro/sim/x.py", select={"DET002"})
-        assert [f.rule for f in findings] == ["DET002"]
+        src = "import time\nb = time.time()\nok = b == 0.5\n"
+        findings = lint_source(src, "src/repro/sim/x.py", select={"FLT001"})
+        assert [f.rule for f in findings] == ["FLT001"]
 
     def test_family_expansion(self):
-        assert expand_rule_selection(("RNG",)) == ("RNG001", "RNG002", "RNG003")
-        assert expand_rule_selection(("det002", "ART")) == ("DET002", "ART001")
+        assert expand_rule_selection(("DET",)) == ("DET001", "DET003")
+        assert expand_rule_selection(("flt001", "ART")) == ("FLT001", "ART001")
         with pytest.raises(ValueError):
             expand_rule_selection(("NOPE",))
 
@@ -107,18 +97,14 @@ class TestEngineBasics:
         assert found == ["a.py", "b.py"]
 
     def test_rule_catalogue_consistency(self):
-        assert len(RULES) >= 16
+        assert len(RULES_BY_ID) == len(RULES)  # ids are unique
         families = {rule.id[:3] for rule in RULES}
-        assert {"RNG", "DET", "ART", "FLT", "ASY", "DUR", "SOA"} <= families
+        assert families == {"RNG", "DET", "ART", "FLT", "ASY", "DUR"}
         assert all(RULES_BY_ID[rule.id] is rule for rule in RULES)
 
     def test_project_rules_are_flagged(self):
         project_rules = {rule.id for rule in RULES if rule.project}
-        assert {"ASYNC001", "ASYNC002", "ASYNC003"} <= project_rules
-        assert {"DUR001", "DUR002", "DUR003"} <= project_rules
-        assert {"SOA001", "SOA002"} <= project_rules
-        # File-local rules stay out of the project pass and vice versa.
-        assert not any(RULES_BY_ID[r].project for r in ("RNG001", "DET002", "ART001"))
+        assert project_rules == {"ASYNC001", "ASYNC002", "ASYNC003"}
 
 
 class TestCli:
@@ -130,18 +116,10 @@ class TestCli:
 
     def test_violation_exits_one_with_hint(self, tmp_path, capsys):
         target = tmp_path / "dirty.py"
-        target.write_text("cache[id(x)] = 1\n")  # repro-lint: disable=ART001 — fixture setup
+        target.write_text("ok = x == 0.5\n")  # repro-lint: disable=ART001 — fixture setup
         assert lint_main([str(target)]) == 1
         out = capsys.readouterr().out
-        assert "DET002" in out and "hint:" in out
-
-    def test_json_format(self, tmp_path, capsys):
-        target = tmp_path / "dirty.py"
-        target.write_text("import time\nt = time.time()\n")  # repro-lint: disable=ART001 — fixture setup
-        assert lint_main([str(target), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] == 1
-        assert payload["findings"][0]["rule"] == "DET003"
+        assert "FLT001" in out and "hint:" in out
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -151,7 +129,7 @@ class TestCli:
 
     def test_module_entry_point(self, tmp_path):
         target = tmp_path / "dirty.py"
-        target.write_text("from random import shuffle\nshuffle(x)\n")  # repro-lint: disable=ART001 — fixture setup
+        target.write_text("ok = x == 0.5\n")  # repro-lint: disable=ART001 — fixture setup
         proc = subprocess.run(
             [sys.executable, "-m", "repro.lint", str(target)],
             capture_output=True,
@@ -160,7 +138,7 @@ class TestCli:
             env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
         )
         assert proc.returncode == 1
-        assert "RNG001" in proc.stdout
+        assert "FLT001" in proc.stdout
 
 
 def _write_service_fixture(tmp_path):
@@ -175,89 +153,26 @@ def _write_service_fixture(tmp_path):
 
 
 class TestProjectPass:
-    def test_run_lint_report_shape(self, tmp_path):
-        root = _write_service_fixture(tmp_path)
-        report = run_lint([str(root)], project=True)
-        assert [f.rule for f in report.findings] == ["ASYNC001"]
-        assert report.files == 1
-        assert report.rule_counts.get("ASYNC001") == 1
-        for key in ("discovery", "file-pass", "project-index", "call-graph"):
-            assert key in report.timings, key
-        assert any(key.startswith("project:") for key in report.timings)
-
-    def test_project_off_skips_project_rules(self, tmp_path):
-        root = _write_service_fixture(tmp_path)
-        report = run_lint([str(root)], project=False)
-        assert report.findings == []
-
-    def test_jobs_parallel_matches_serial(self, tmp_path):
+    def test_run_lint_runs_both_passes(self, tmp_path):
         root = _write_service_fixture(tmp_path)
         extra = root / "repro" / "service" / "other.py"
         extra.write_text(  # repro-lint: disable=ART001 — fixture setup
             "import time\n\n\nt = time.time()\n"
         )
-        serial = run_lint([str(root)], project=True, jobs=1)
-        parallel = run_lint([str(root)], project=True, jobs=2)
-        as_tuples = lambda report: [  # noqa: E731
-            (f.path, f.line, f.col, f.rule) for f in report.findings
-        ]
-        assert as_tuples(serial) == as_tuples(parallel)
-        assert len(serial.findings) == 2
+        findings = run_lint([str(root)])
+        assert [f.rule for f in findings] == ["ASYNC001", "DET003"]
 
-    def test_cli_project_flag_and_stats(self, tmp_path, capsys):
+    def test_cli_reports_project_findings(self, tmp_path, capsys):
         root = _write_service_fixture(tmp_path)
-        assert lint_main([str(root), "--project", "--stats"]) == 1
-        captured = capsys.readouterr()
-        assert "ASYNC001" in captured.out
-        assert "file-pass" in captured.err  # stats land on stderr
-
-    def test_cli_without_project_flag_stays_file_local(self, tmp_path, capsys):
-        root = _write_service_fixture(tmp_path)
-        assert lint_main([str(root)]) == 0
-        capsys.readouterr()
-
-
-class TestSarif:
-    def test_to_sarif_structure(self, tmp_path):
-        root = _write_service_fixture(tmp_path)
-        report = run_lint([str(root)], project=True)
-        doc = to_sarif(report.findings)
-        assert doc["version"] == SARIF_VERSION
-        run = doc["runs"][0]
-        rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert {"ASYNC001", "DET002", "LNT000"} <= rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "ASYNC001"
-        location = result["locations"][0]["physicalLocation"]
-        assert location["region"]["startLine"] == 5
-        assert location["region"]["startColumn"] >= 1  # SARIF is 1-based
-
-    def test_cli_sarif_format_is_valid_json(self, tmp_path, capsys):
-        root = _write_service_fixture(tmp_path)
-        assert lint_main([str(root), "--project", "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == SARIF_VERSION
-        assert doc["runs"][0]["results"][0]["ruleId"] == "ASYNC001"
-
-    def test_clean_run_emits_empty_results(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("x = 1\n")  # repro-lint: disable=ART001 — fixture setup
-        assert lint_main([str(target), "--format", "sarif"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["runs"][0]["results"] == []
+        assert lint_main([str(root)]) == 1
+        assert "ASYNC001" in capsys.readouterr().out
 
 
 class TestRepoIsClean:
     """The commit-time gate, asserted from inside the test suite too."""
 
     def test_src_and_tests_lint_clean(self):
-        findings = lint_paths([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
-        assert findings == [], "\n".join(f.render() for f in findings)
-
-    def test_project_pass_on_src_and_tests_is_clean(self):
-        """`repro lint --project src tests` exits 0 — the whole-program
-        rules hold over the real codebase (suppressions carry reasons)."""
-        findings = lint_paths(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")], project=True
-        )
+        """`python -m repro.lint src tests` exits 0: both passes hold over
+        the real codebase (suppressions carry reasons)."""
+        findings = run_lint([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
         assert findings == [], "\n".join(f.render() for f in findings)

@@ -38,6 +38,14 @@ class TestHeadroom:
         with pytest.raises(ReservationError, match="materialized headroom"):
             table.check_invariants(primaries, [], [])
 
+    def test_check_invariants_catches_a_split_failed_mirror(self):
+        table, primaries = _reserved_table()
+        table.fail(1)
+        table.check_invariants(primaries, [], [], strict_reservation=False)
+        table.failed_py[1] = False  # the NumPy mask still says failed
+        with pytest.raises(ReservationError, match="failed_py mirror"):
+            table.check_invariants(primaries, [], [], strict_reservation=False)
+
     def test_spare_for_extras_is_computed_on_demand(self):
         table, _ = _reserved_table()
         table.primary_extra[0] = 250.0
