@@ -3,12 +3,17 @@
 Two guards ride here:
 
 * ``test_memory_per_connection`` — bytes of core bookkeeping state per
-  live connection.  The SoA core's whole point is that a connection is
-  a table row plus two CSR slices, not a Python object graph; this
-  pins the figure so a future change that quietly re-introduces
+  live connection, in two figures.  The first counts the
+  ``ConnectionTable`` NumPy columns and CSR arenas plus the
+  ``LinkTable`` lists; the second counts the ``ConnectionTable``
+  per-handle Python lists.  A list counts as its own size plus every
+  distinct number or list it holds (``repro.network.link_table.
+  list_nbytes``).  The core's whole point is that a connection is a
+  table row plus a few list cells, not a Python object graph; these
+  pin the figures so a future change that quietly re-introduces
   per-connection object state shows up as a number, not a feeling.
 * ``test_hundred_thousand_connections`` — a 10⁵-connection smoke: the
-  handle allocator, CSR arenas and vectorized accounting must take a
+  handle allocator, the arenas and the list accounting must take a
   population two orders of magnitude beyond the paper's experiments
   without blowing up (in time or invariants).  Backups off, single
   elastic level, so the run isolates admission + bookkeeping cost.
@@ -32,7 +37,8 @@ def _populate(manager, net, count: int, qos: ConnectionQoS, seed: int = 3) -> No
 
 
 def _array_state_bytes(manager: ArrayNetworkManager) -> int:
-    cols, arenas = manager.conns.nbytes()
+    """Connection columns and arenas plus the link lists."""
+    cols, arenas, _lists = manager.conns.nbytes()
     return cols + arenas + manager.links.nbytes()
 
 
@@ -48,9 +54,13 @@ def test_memory_per_connection():
     assert manager.num_live == count
 
     bpc = _array_state_bytes(manager) / count
-    print(f"\nbytes per live connection: {bpc:.0f}")
+    list_bpc = manager.conns.nbytes()[2] / count
+    print(f"\nbytes per live connection: {bpc:.0f} + {list_bpc:.0f} in lists")
     # Row-plus-CSR bookkeeping, growth slack included (~350 measured).
     assert bpc <= 400
+    # The per-handle lists read 176.3 while the primary path was kept
+    # both in the CSR arena and as a fresh list per connection.
+    assert list_bpc <= 176.3
 
 
 def test_hundred_thousand_connections():
@@ -69,13 +79,13 @@ def test_hundred_thousand_connections():
 
     # Drop a slice and refill: the free list must recycle handles
     # rather than growing the table without bound.
-    cap_before = len(manager.conns.conn_id)
+    cap_before = manager.conns.capacity
     for cid in manager.live_connection_ids()[:10_000]:
         manager.terminate_connection(cid)
     assert manager.num_live == count - 10_000
     _populate(manager, net, count, qos, seed=10)
     assert manager.num_live == count
-    assert len(manager.conns.conn_id) == cap_before
+    assert manager.conns.capacity == cap_before
     manager.check_invariants()
 
     total = _array_state_bytes(manager)

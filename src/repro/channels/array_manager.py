@@ -3,13 +3,14 @@
 :class:`ArrayNetworkManager` is the SoA twin of
 :class:`~repro.reference.ReferenceManager`: the same operational
 rules (§3.1 of the paper), the same calls, the same event semantics —
-but every reservation lives in the NumPy columns of a
+but every reservation lives in the per-link lists of a
 :class:`~repro.network.link_table.LinkTable` and every connection in a
 :class:`~repro.channels.conn_table.ConnectionTable` row addressed by an
-integer handle.  The hot per-event sweeps (extras reclamation, the
-elastic water-fill, candidate collection, measurement reductions) are
-vectorized; cold control flow (backup multiplexing, failover decisions)
-stays scalar and mirrors the reference statement for statement.
+integer handle.  An event touches the links of one or two short paths,
+so the per-event work (extras reclamation, the elastic water-fill, the
+failure squeeze) is scalar reads and writes on those lists, in the
+reference's order; NumPy serves the per-connection measurement
+reductions.
 
 Equivalence contract: driven through an identical event sequence, this
 manager and the reference produce **bitwise-identical** routes,
@@ -31,16 +32,7 @@ the one production core (``repro.channels.make_manager`` builds it).
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -54,11 +46,7 @@ from repro.channels.records import (
     EventKind,
     ManagerStats,
 )
-from repro.elastic.array_fill import (
-    _gather,
-    drop_to_minimum_soa,
-    redistribute_soa,
-)
+from repro.elastic.array_fill import drop_to_minimum_soa, redistribute_soa
 from repro.elastic.policies import AdaptationPolicy, EqualShare
 from repro.errors import (
     AdmissionError,
@@ -98,7 +86,6 @@ class ArrayNetworkState:
     def __init__(self, topology: Network, table: LinkTable) -> None:
         self.topology = topology
         self.table = table
-        self._failed: Set[LinkId] = set()
         self._alive_list: List[LinkId] = sorted(table.index)
         self._failed_list: List[LinkId] = []
         self.generation: int = 0
@@ -113,10 +100,11 @@ class ArrayNetworkState:
 
     @property
     def failed_links(self) -> FrozenSet[LinkId]:
-        return frozenset(self._failed)
+        return frozenset(self._failed_list)
 
     def is_failed(self, lid: LinkId) -> bool:
-        return lid in self._failed
+        li = self.table.index.get(lid)
+        return li is not None and self.table.failed[li]
 
     def alive_link_list(self) -> List[LinkId]:
         return self._alive_list
@@ -140,7 +128,6 @@ class ArrayNetworkState:
         except KeyError:
             li = table.index_of(lid)  # raises TopologyError, unknown link
         table.fail(li)
-        self._failed.add(lid)
         self._alive_list.pop(bisect_left(self._alive_list, lid))
         insort(self._failed_list, lid)
         self.generation += 1
@@ -152,19 +139,18 @@ class ArrayNetworkState:
         except KeyError:
             li = table.index_of(lid)  # raises TopologyError, unknown link
         table.repair(li)
-        self._failed.discard(lid)
         self._failed_list.pop(bisect_left(self._failed_list, lid))
         insort(self._alive_list, lid)
         self.generation += 1
 
     # -- diagnostics ----------------------------------------------------
     # Summed in link order, as the reference's ``State`` does, so the
-    # two agree bitwise (``np.sum`` would sum pairwise).
+    # two agree bitwise.
     def total_used(self) -> float:
-        return sum(self.table.used().tolist())
+        return sum(self.table.used())
 
     def total_capacity(self) -> float:
-        return sum(self.table.capacity.tolist())
+        return sum(self.table.capacity)
 
     def utilization(self) -> float:
         cap = self.total_capacity()
@@ -213,14 +199,9 @@ class ArrayNetworkManager:
         self._prims_on: List[Set[int]] = [set() for _ in range(n)]
         self._backups_on: List[Set[int]] = [set() for _ in range(n)]
         self._active_on: List[Set[int]] = [set() for _ in range(n)]
-        #: conn id -> live handle.
+        #: conn id -> live handle, in ascending conn id: ids are issued in
+        #: increasing order and inserted only at arrival.
         self._h_of: Dict[int, int] = {}
-        #: handle -> conn id, as a plain Python list (hot-path mirror of
-        #: ``conns.conn_id``: cid-sorting handle sets with a C-level list
-        #: key beats a NumPy gather + argsort at event sizes).  Entries
-        #: of freed handles are stale until the handle is reused; only
-        #: live handles are ever looked up.  (The conn-id mirror itself
-        #: lives on :class:`ConnectionTable` as ``cid_py``.)
         #: handle -> the primary's link-id frozenset.  A connection's
         #: primary route is immutable for its lifetime, so the conflict
         #: set backups are keyed on never needs rebuilding from the
@@ -253,7 +234,7 @@ class ArrayNetworkManager:
             destination=int(c.destination[h]),
             qos=qos,
             primary_path=c.pnode_slice(h).tolist(),
-            primary_links=[ids[li] for li in c.path_py[h]],
+            primary_links=[ids[li] for li in c.path[h]],
             backup_path=c.bnode_slice(h).tolist() if routed else None,
             backup_links=[ids[li] for li in c.bk_slice(h).tolist()] if routed else None,
             backup_overlap=int(c.backup_overlap[h]),
@@ -282,8 +263,8 @@ class ArrayNetworkManager:
         return conn_id in self._h_of
 
     def live_connection_ids(self) -> List[int]:
-        """Ids of all live connections, sorted (masked reduction)."""
-        return self.conns.live_connection_ids()
+        """Ids of all live connections, sorted."""
+        return list(self._h_of)
 
     @property
     def num_live(self) -> int:
@@ -315,12 +296,12 @@ class ArrayNetworkManager:
         contributes its former primary's links (see the reference).
         """
         h_of = self._h_of
-        path_py = self.conns.path_py
+        paths = self.conns.path
         lis: Set[int] = set()
         for cid in conn_ids:
             h = h_of.get(cid)
             if h is not None:
-                lis.update(path_py[h])
+                lis.update(paths[h])
         return self._ids_on(lis)
 
     def link_totals(self, lid: LinkId) -> Tuple[float, float, float, float, bool]:
@@ -328,11 +309,11 @@ class ArrayNetworkManager:
         t = self.links
         li = t.index_of(lid)
         return (
-            float(t.primary_min[li]),
-            float(t.primary_extra[li]),
-            float(t.activated[li]),
-            float(t.backup_reserved[li]),
-            t.failed_py[li],
+            t.primary_min[li],
+            t.primary_extra[li],
+            t.activated[li],
+            t.backup_reserved[li],
+            t.failed[li],
         )
 
     def levels_of(self, conn_ids: Sequence[int]) -> List[int]:
@@ -372,13 +353,13 @@ class ArrayNetworkManager:
         self._next_id += 1
         impact.conn_id = conn_id
 
-        prim_idx = plan.idx
+        path = plan.idx_list
         affected: Set[int] = set(plan.idx_set)
-        self._reclaim_direct(prim_idx, affected, impact)
+        self._reclaim_direct(path, affected, impact)
 
-        self._reserve_primary_checked(prim_idx, b_min)
+        self._reserve_primary_checked(path, b_min)
 
-        bk_idx: Optional[np.ndarray] = None
+        bk_idx: Optional[List[int]] = None
         bk_nodes: Optional[np.ndarray] = None
         overlap = 0
         if backup_path is not None:
@@ -396,22 +377,16 @@ class ArrayNetworkManager:
             if not self.links.can_admit_backup_bulk(bk_idx, b_min, primary_set):
                 # The primary's own reservation consumed the headroom the
                 # backup needed (only possible with overlapping routes).
-                self.links.sub_primary_min(prim_idx, b_min)
+                self.links.sub_primary_min(path, b_min)
                 self._redistribute(affected, impact)
                 self.stats.rejected_no_backup += 1
                 impact.accepted = False
                 return None, impact
-            for li in bk_idx.tolist():
+            for li in bk_idx:
                 self.links.add_backup(li, b_min, primary_set)
 
         h = self.conns.allocate(
-            conn_id,
-            source,
-            destination,
-            qos,
-            prim_idx,
-            plan.nodes,
-            self.now,
+            conn_id, source, destination, qos, path, plan.nodes, self.now
         )
         conflict_py = self._conflict_py
         if h >= len(conflict_py):
@@ -422,41 +397,41 @@ class ArrayNetworkManager:
         if bk_idx is not None:
             assert bk_nodes is not None
             self.conns.set_backup(h, bk_idx, bk_nodes, overlap)
-            for li in bk_idx.tolist():
+            for li in bk_idx:
                 self._backups_on[li].add(h)
         self._h_of[conn_id] = h
-        for li in prim_idx.tolist():
+        for li in path:
             self._prims_on[li].add(h)
 
         self._redistribute(affected, impact)
         self.stats.accepted += 1
         return self._record(h), impact
 
-    def _reserve_primary_checked(self, prim_idx: np.ndarray, b_min: float) -> None:
+    def _reserve_primary_checked(self, path: List[int], b_min: float) -> None:
         """Reserve a primary's minimum with the reference's guards."""
         t = self.links
-        headroom = t.headroom[prim_idx]
-        if bool((b_min > headroom + EPSILON).any()):
+        headroom = t.headroom
+        if any(b_min > headroom[li] + EPSILON for li in path):
             raise AdmissionError(
                 f"primary reservation of {b_min} Kb/s overcommits a link "
-                f"(headroom {float(headroom.min()):.3f})"
+                f"(headroom {min(headroom[li] for li in path):.3f})"
             )
-        used = t.primary_min[prim_idx] + t.primary_extra[prim_idx] + t.activated[prim_idx]
-        if bool((used + b_min > t.capacity[prim_idx] + EPSILON).any()):
+        pmin, extra, act, cap = t.primary_min, t.primary_extra, t.activated, t.capacity
+        if any(pmin[li] + extra[li] + act[li] + b_min > cap[li] + EPSILON for li in path):
             raise AdmissionError("primary reservation would exceed usage capacity")
-        t.add_primary_min(prim_idx, b_min)
+        t.add_primary_min(path, b_min)
 
     def _reclaim_direct(
-        self, prim_idx: np.ndarray, affected: Set[int], impact: EventImpact
+        self, path: List[int], affected: Set[int], impact: EventImpact
     ) -> None:
-        """Drop every directly-chained channel to its minimum (vectorized).
+        """Drop every directly-chained channel to its minimum.
 
-        The per-link extras columns accumulate the reclamations in
-        ascending conn-id order (``np.add.at`` is sequential in array
-        order), matching the reference's sorted per-channel loop.
+        Channels give their extras back in ascending conn-id order, so
+        each link's ``primary_extra`` sees the reference's sorted
+        per-channel subtractions.
         """
         sets = self._prims_on
-        groups = [sets[li] for li in prim_idx.tolist() if sets[li]]
+        groups = [sets[li] for li in path if sets[li]]
         if not groups:
             return
         hset: Set[int] = set().union(*groups)
@@ -468,19 +443,14 @@ class ArrayNetworkManager:
             direct = impact.direct
             for h, lvl in zip(hs_list, conns.level[hs].tolist()):
                 direct[cid_py[h]] = (lvl, 0)
-        extras = conns.conn_extra[hs]
-        dropping = extras != 0.0
-        if bool(dropping.any()):
-            sub = hs[dropping]
-            sub_extras = extras[dropping]
-            flat = _gather(conns, sub)
-            rep = np.repeat(sub_extras, conns.prim_len[sub])
-            self.links.reclaim_extras(flat, rep)
-            conns.conn_extra[sub] = 0.0
-            if float(sub_extras.min()) > EPSILON:
-                affected.update(flat.tolist())
-            else:
-                affected.update(flat[rep > EPSILON].tolist())
+        paths = conns.path
+        reclaim = self.links.reclaim_extras
+        for h, extra in zip(hs_list, conns.conn_extra[hs].tolist()):
+            if extra != 0.0:
+                reclaim(paths[h], extra)
+                if extra > EPSILON:
+                    affected.update(paths[h])
+        conns.conn_extra[hs] = 0.0
         conns.level[hs] = 0
 
     # ------------------------------------------------------------------
@@ -507,9 +477,9 @@ class ArrayNetworkManager:
 
             def allowance(link: Link) -> float:
                 li = index[link.id]
-                if t.failed_py[li]:
+                if t.failed[li]:
                     return 0.0
-                return max(0.0, t.headroom_at(li))
+                return max(0.0, t.headroom[li])
 
             primary, backup = flooding_route_pair(
                 self.topology,
@@ -540,16 +510,14 @@ class ArrayNetworkManager:
                 raise SimulationError("unexpected route-cache answer")  # pragma: no cover
             plan = found
         if plan is None:
-            # The BFS probes the mask once per examined edge; a plain
-            # list lookup beats a NumPy scalar read at that call rate.
-            # (Built only here — the cache-hit path above probes the
-            # headroom column directly and skips mask construction.)
-            admit_list = t.primary_admission_mask(b_min).tolist()
+            # ``Link.can_admit_primary``: alive, and the minimum fits
+            # the headroom.
+            failed, headroom = t.failed, t.headroom
             primary = bfs_path_rows(
                 self.state.adjacency_rows(),
                 source,
                 destination,
-                lambda lid, li: admit_list[li],
+                lambda lid, li: not failed[li] and b_min <= headroom[li] + EPSILON,
             )
             if primary is None:
                 return None, None, None
@@ -645,24 +613,24 @@ class ArrayNetworkManager:
         b_min = float(conns.b_min[h])
 
         if scode == _ACTIVE:
-            prim_idx = conns.prim_slice(h).copy()
-            self._record_direct_levels(prim_idx, impact, skip=h)
-            for li in prim_idx.tolist():
+            path = conns.path[h]
+            self._record_direct_levels(path, impact, skip=h)
+            for li in path:
                 self._prims_on[li].discard(h)
-            t.release_primary_bulk(prim_idx, b_min, float(conns.conn_extra[h]))
-            affected.update(prim_idx[~t.failed[prim_idx]].tolist())
+            t.release_primary(path, b_min, float(conns.conn_extra[h]))
+            affected.update(li for li in path if not t.failed[li])
             if conns.bk_len[h]:
                 conflict = self._conflict_of(h)
                 for li in conns.bk_slice(h).tolist():
                     t.remove_backup(li, b_min, conflict)
                     self._backups_on[li].discard(h)
         elif scode == _FAILED_OVER:
-            bk_idx = conns.bk_slice(h).copy()
+            bk_idx = conns.bk_slice(h).tolist()
             self._record_direct_levels(bk_idx, impact, skip=h)
             t.sub_activated(bk_idx, b_min)
-            for li in bk_idx.tolist():
+            for li in bk_idx:
                 self._active_on[li].discard(h)
-            affected.update(bk_idx[~t.failed[bk_idx]].tolist())
+            affected.update(li for li in bk_idx if not t.failed[li])
         else:  # pragma: no cover - defensive
             raise ReservationError(f"connection {conn_id} is not live")
 
@@ -672,13 +640,13 @@ class ArrayNetworkManager:
         return impact
 
     def _record_direct_levels(
-        self, path_idx: np.ndarray, impact: EventImpact, skip: int
+        self, path: Sequence[int], impact: EventImpact, skip: int
     ) -> None:
         """Record the pre-event level of every directly-chained channel."""
         if not self.record_trajectories:
             return
         sets = self._prims_on
-        groups = [sets[li] for li in path_idx.tolist() if sets[li]]
+        groups = [sets[li] for li in path if sets[li]]
         if not groups:
             return
         hset: Set[int] = set().union(*groups)
@@ -782,7 +750,7 @@ class ArrayNetworkManager:
         # Connections that only lost their (inactive) backup stay up,
         # unprotected, at their current bandwidth.
         for h in inactive_backup_victims:
-            cid = int(conns.conn_id[h])
+            cid = conns.cid_py[h]
             b_min = float(conns.b_min[h])
             conflict = self._conflict_of(h)
             for li in conns.bk_slice(h).tolist():
@@ -797,40 +765,38 @@ class ArrayNetworkManager:
         # Connections already running on a backup have no further
         # protection: losing the backup path drops them.
         for h in live_backup_victims:
-            cid = int(conns.conn_id[h])
+            cid = conns.cid_py[h]
             b_min = float(conns.b_min[h])
-            bk_idx = conns.bk_slice(h).copy()
+            bk_idx = conns.bk_slice(h).tolist()
             t.sub_activated(bk_idx, b_min)
-            for li in bk_idx.tolist():
+            for li in bk_idx:
                 self._active_on[li].discard(h)
             del self._h_of[cid]
             conns.free(h, ConnectionState.DROPPED)
             impact.dropped.append(cid)
             self.stats.connections_dropped += 1
             self.stats.double_failure_drops += 1
-            affected.update(bk_idx[~t.failed[bk_idx]].tolist())
+            affected.update(li for li in bk_idx if not t.failed[li])
 
         # Primaries through the failed link: release, then try failover.
         for h in primary_victims:
-            cid = int(conns.conn_id[h])
+            cid = conns.cid_py[h]
             b_min = float(conns.b_min[h])
             if record:
                 impact.direct[cid] = (int(conns.level[h]), 0)
-            prim_idx = conns.prim_slice(h).copy()
-            for li in prim_idx.tolist():
+            path = conns.path[h]
+            for li in path:
                 self._prims_on[li].discard(h)
-            t.release_primary_bulk(prim_idx, b_min, float(conns.conn_extra[h]))
+            t.release_primary(path, b_min, float(conns.conn_extra[h]))
             conns.conn_extra[h] = 0.0
             conns.level[h] = 0
-            affected.update(prim_idx[~t.failed[prim_idx]].tolist())
+            affected.update(li for li in path if not t.failed[li])
 
             had_backup = bool(conns.bk_len[h])
-            bk_idx = conns.bk_slice(h).copy() if had_backup else None
-            usable_backup = (
-                had_backup
-                and bk_idx is not None
-                and not bool(t.failed[bk_idx].any())
-                and all(t.can_activate_backup(int(li), b_min) for li in bk_idx)
+            bk_idx = conns.bk_slice(h).tolist() if had_backup else None
+            # ``can_activate_backup`` is False on a failed link.
+            usable_backup = bk_idx is not None and all(
+                t.can_activate_backup(li, b_min) for li in bk_idx
             )
             if (
                 usable_backup
@@ -845,14 +811,14 @@ class ArrayNetworkManager:
                 assert bk_idx is not None
                 # Retreat rule: primaries sharing the backup's links give
                 # up their extras before the backup goes live.
-                for bli in bk_idx.tolist():
+                for bli in bk_idx:
                     for other in self._sorted_by_cid(self._prims_on[bli]):
                         prev, freed = drop_to_minimum_soa(t, conns, other)
-                        affected.update(freed.tolist())
+                        affected.update(freed)
                         if record:
-                            impact.direct.setdefault(int(conns.conn_id[other]), (prev, 0))
+                            impact.direct.setdefault(conns.cid_py[other], (prev, 0))
                 conflict = self._conflict_of(h)
-                for li in bk_idx.tolist():
+                for li in bk_idx:
                     t.activate_backup(li, b_min, conflict)
                     self._backups_on[li].discard(h)
                     self._active_on[li].add(h)
@@ -861,9 +827,9 @@ class ArrayNetworkManager:
                 impact.activated.append(cid)
                 self.stats.backups_activated += 1
             else:
-                if had_backup and bk_idx is not None:
+                if bk_idx is not None:
                     conflict = self._conflict_of(h)
-                    for li in bk_idx.tolist():
+                    for li in bk_idx:
                         t.remove_backup(li, b_min, conflict)
                         self._backups_on[li].discard(h)
                 del self._h_of[cid]
@@ -890,9 +856,9 @@ class ArrayNetworkManager:
         qos = conns.qos[h]
         assert qos is not None
         b_min = float(conns.b_min[h])
-        primary_links = conns.primary_links_of(h, t.link_ids)
+        path = list(conns.path[h])
         prim_plan = RoutePlan(
-            conns.pnode_slice(h).tolist(), primary_links, conns.prim_slice(h).copy()
+            conns.pnode_slice(h).tolist(), [t.link_ids[li] for li in path], path
         )
         path, bplan = self._centralized_backup(prim_plan, b_min, qos)
         if path is None:
@@ -909,7 +875,7 @@ class ArrayNetworkManager:
             overlap = sum(1 for lid in links_b if lid in prim_plan.link_set)
         if not t.can_admit_backup_bulk(bk_idx, b_min, primary_set):
             return False
-        for li in bk_idx.tolist():
+        for li in bk_idx:
             t.add_backup(li, b_min, primary_set)
             self._backups_on[li].add(h)
         self.conns.set_backup(h, bk_idx, bk_nodes, overlap)
@@ -928,11 +894,10 @@ class ArrayNetworkManager:
             & ~conns.on_backup
             & conns.elastic
         )
-        hs = np.flatnonzero(mask)
-        if not len(hs):
+        hs = sorted(np.flatnonzero(mask).tolist(), key=conns.cid_py.__getitem__)
+        if not hs:
             return {}
-        hs = hs[np.argsort(conns.conn_id[hs])]
-        return redistribute_soa(self.links, conns, hs.tolist(), self.policy)
+        return redistribute_soa(self.links, conns, hs, self.policy)
 
     def _redistribute(self, affected: Set[int], impact: EventImpact) -> None:
         """Water-fill the affected links and fold the result into ``impact``."""
@@ -979,7 +944,7 @@ class ArrayNetworkManager:
         """
         conns = self.conns
         t = self.links
-        strict = not self.state.failed_links and self.stats.link_failures == 0
+        strict = not self.state.num_failed and self.stats.link_failures == 0
         live = np.flatnonzero(conns.alloc)
         primaries = []
         backups = []
@@ -987,33 +952,32 @@ class ArrayNetworkManager:
         for h in live.tolist():
             b_min = float(conns.b_min[h])
             if int(conns.state[h]) == _ACTIVE:
-                primaries.append((conns.prim_slice(h), b_min, float(conns.conn_extra[h])))
+                primaries.append((conns.path[h], b_min, float(conns.conn_extra[h])))
                 if conns.bk_len[h]:
                     backups.append(
-                        (conns.bk_slice(h), b_min, self._conflict_of(h))
+                        (conns.bk_slice(h).tolist(), b_min, self._conflict_of(h))
                     )
             elif conns.on_backup[h]:
-                activated.append((conns.bk_slice(h), b_min))
+                activated.append((conns.bk_slice(h).tolist(), b_min))
         t.check_invariants(primaries, backups, activated, strict_reservation=strict)
 
-        for name, sets, member in (
-            ("primary", self._prims_on, "prim"),
-            ("backup", self._backups_on, "bk"),
-            ("activated backup", self._active_on, "bk"),
+        for name, sets, route in (
+            ("primary", self._prims_on, conns.path.__getitem__),
+            ("backup", self._backups_on, conns.bk_slice),
+            ("activated backup", self._active_on, conns.bk_slice),
         ):
-            starts = conns.prim_start if member == "prim" else conns.bk_start
-            lens = conns.prim_len if member == "prim" else conns.bk_len
-            arena = conns.links_arena.data
             for li, handles in enumerate(sets):
                 for h in handles:
-                    s = int(starts[h])
-                    if li not in arena[s : s + int(lens[h])]:
+                    if li not in route(h):
                         raise ReservationError(
                             f"index says handle {h} has a {name} on link "
                             f"{t.link_ids[li]} but its route disagrees"
                         )
+        ids = list(self._h_of)
+        if ids != sorted(ids):
+            raise ReservationError("handle map is not in conn-id order")
         for cid, h in self._h_of.items():
-            if int(conns.conn_id[h]) != cid or not conns.alloc[h]:
+            if conns.cid_py[h] != cid or not conns.alloc[h]:
                 raise ReservationError(f"handle map out of sync for connection {cid}")
             if int(conns.state[h]) == _ACTIVE:
                 qos = conns.qos[h]

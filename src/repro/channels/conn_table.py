@@ -3,35 +3,36 @@
 :class:`ConnectionTable` is the array-backed twin of the per-object
 :class:`~repro.channels.records.DRConnection` dictionary: every scalar a
 record carries (level, ``B_min``, increment, lifecycle state, …) becomes
-one preallocated NumPy column indexed by an integer **handle**, and the
-variable-length routes become CSR-style flat index arrays (one shared
-arena per path kind plus per-handle ``start``/``len`` columns).  Handles
+one preallocated NumPy column indexed by an integer **handle**.  Handles
 are recycled through a free list, so a steady-state churn campaign
 touches a bounded region of memory no matter how many connections pass
-through; the arena is append-only and compacted wholesale once the
-garbage left behind by freed handles outweighs the live payload.
+through.
 
-Path links are stored as **dense link indices** (positions in the
-owning :class:`~repro.network.link_table.LinkTable`), not ``LinkId``
-tuples: the hot sweeps (reclaim, water-fill, failure victim processing)
-gather straight into the link columns with integer fancy indexing.  The
-``LinkId`` lists a connection record carries are derived on demand.
+Routes are stored as **dense link indices** (positions in the owning
+:class:`~repro.network.link_table.LinkTable`), not ``LinkId`` tuples.
+The primary route, which every event's hot loop (reclaim, water-fill,
+failure squeeze) walks link by link, is a plain list per handle,
+``path``.  Backup and node routes have cold readers and live in
+CSR-style flat arenas (one shared ``int64`` arena per kind plus
+per-handle ``start``/``len`` columns); an arena is append-only and
+compacted wholesale once the garbage left behind by freed handles
+outweighs the live payload.  The ``LinkId`` lists a connection record
+carries are derived on demand.
 
 The aggregate queries the manager answers per measurement sample —
-``live_connection_ids``, ``average_live_bandwidth``,
-``level_histogram`` — are masked array reductions over these columns
-instead of per-record attribute walks.
+``average_live_bandwidth`` and ``level_histogram`` — are masked array
+reductions over these columns instead of per-record attribute walks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.channels.records import ConnectionState
+from repro.network.link_table import list_nbytes
 from repro.qos.spec import ConnectionQoS
-from repro.topology.graph import LinkId
 from repro.units import EPSILON
 
 __all__ = ["ConnectionTable", "STATE_CODE", "CODE_STATE"]
@@ -50,10 +51,9 @@ _I8 = np.int64
 
 #: Names of the per-handle NumPy columns (grown and sized together).
 _COLUMNS = (
-    "conn_id", "level", "b_min", "b_max", "increment", "state", "on_backup",
-    "elastic", "alloc", "established_at", "backup_overlap", "source",
-    "destination", "conn_extra", "prim_start", "prim_len", "bk_start",
-    "bk_len", "pnode_start", "pnode_len", "bnode_start", "bnode_len",
+    "level", "b_min", "increment", "state", "on_backup", "elastic", "alloc",
+    "established_at", "backup_overlap", "source", "destination", "conn_extra",
+    "bk_start", "bk_len", "pnode_start", "pnode_len", "bnode_start", "bnode_len",
 )
 
 
@@ -67,7 +67,7 @@ class _Arena:
         self.used = 0
         self.garbage = 0
 
-    def append(self, values: np.ndarray) -> int:
+    def append(self, values: Sequence[int]) -> int:
         """Append ``values``; returns their start offset."""
         n = len(values)
         if self.used + n > len(self.data):
@@ -93,10 +93,8 @@ class ConnectionTable:
         n = max(capacity, 16)
         self.capacity = n
         # -- scalar columns, one row per handle -------------------------
-        self.conn_id = np.full(n, -1, dtype=_I8)
         self.level = np.zeros(n, dtype=_I8)
         self.b_min = np.zeros(n, dtype=_F8)
-        self.b_max = np.zeros(n, dtype=_F8)
         self.increment = np.zeros(n, dtype=_F8)
         self.state = np.full(n, STATE_CODE[ConnectionState.TERMINATED], dtype=np.int8)
         self.on_backup = np.zeros(n, dtype=np.bool_)
@@ -110,9 +108,7 @@ class ConnectionTable:
         #: path by construction); tracks the exact float trajectory of
         #: the reference's per-link ``primary_extra[cid]`` entries.
         self.conn_extra = np.zeros(n, dtype=_F8)
-        # -- CSR paths (dense link indices / node ids) ------------------
-        self.prim_start = np.zeros(n, dtype=_I8)
-        self.prim_len = np.zeros(n, dtype=_I8)
+        # -- CSR routes (backup dense link indices / node ids) ----------
         self.bk_start = np.zeros(n, dtype=_I8)
         self.bk_len = np.zeros(n, dtype=_I8)  # 0 = no backup route
         self.pnode_start = np.zeros(n, dtype=_I8)
@@ -127,18 +123,18 @@ class ConnectionTable:
         # Python-native per-handle facts the water-fill probes in its
         # inner loop.  All five are immutable for the lifetime of an
         # allocation (written in ``allocate``, cleared in ``free``), so
-        # they carry no sync protocol — they simply let the fill read
-        # plain ints/floats/lists instead of paying a NumPy scalar
-        # access per probe.  ``thr_py`` (the spare threshold
-        # ``increment - EPSILON``) and ``maxl_py`` (the level cap) have
-        # no column behind them.
+        # the fill reads plain ints/floats/lists instead of paying a
+        # NumPy scalar access per probe.  ``cid_py`` (the conn id),
+        # ``thr_py`` (the spare threshold ``increment - EPSILON``),
+        # ``maxl_py`` (the level cap) and ``path`` have no column behind
+        # them; ``delta_py`` mirrors ``increment``.
         self.cid_py: List[int] = [-1] * n
         self.thr_py: List[float] = [0.0] * n
         self.delta_py: List[float] = [0.0] * n
         self.maxl_py: List[int] = [0] * n
-        #: Primary path as a plain list of dense link indices (mirror of
-        #: the CSR ``prim_*`` view; same order).
-        self.path_py: List[List[int]] = [[] for _ in range(n)]
+        #: Primary route as a list of dense link indices.  The list may be
+        #: shared with the route plan it came from: treat it as immutable.
+        self.path: List[Sequence[int]] = [() for _ in range(n)]
         self._free: List[int] = list(range(n - 1, -1, -1))
         self.num_allocated = 0
 
@@ -153,14 +149,13 @@ class ConnectionTable:
             grown = np.zeros(new, dtype=col.dtype)
             grown[:old] = col
             setattr(self, name, grown)
-        self.conn_id[old:] = -1
         self.state[old:] = STATE_CODE[ConnectionState.TERMINATED]
         self.qos.extend([None] * old)
         self.cid_py.extend([-1] * old)
         self.thr_py.extend([0.0] * old)
         self.delta_py.extend([0.0] * old)
         self.maxl_py.extend([0] * old)
-        self.path_py.extend([] for _ in range(old))
+        self.path.extend(() for _ in range(old))
         self._free.extend(range(new - 1, old - 1, -1))
         self.capacity = new
 
@@ -170,8 +165,8 @@ class ConnectionTable:
         source: int,
         destination: int,
         qos: ConnectionQoS,
-        prim_idx: np.ndarray,
-        prim_nodes: np.ndarray,
+        path: Sequence[int],
+        prim_nodes: Sequence[int],
         established_at: float,
     ) -> int:
         """Claim a handle for a new ACTIVE connection; returns the handle."""
@@ -179,10 +174,8 @@ class ConnectionTable:
             self._grow()
         h = self._free.pop()
         perf = qos.performance
-        self.conn_id[h] = conn_id
         self.level[h] = 0
         self.b_min[h] = perf.b_min
-        self.b_max[h] = perf.b_max
         self.increment[h] = perf.increment
         self.state[h] = STATE_CODE[ConnectionState.ACTIVE]
         self.on_backup[h] = False
@@ -193,8 +186,6 @@ class ConnectionTable:
         self.source[h] = source
         self.destination[h] = destination
         self.conn_extra[h] = 0.0
-        self.prim_start[h] = self.links_arena.append(prim_idx)
-        self.prim_len[h] = len(prim_idx)
         self.pnode_start[h] = self.nodes_arena.append(prim_nodes)
         self.pnode_len[h] = len(prim_nodes)
         self.bk_len[h] = 0
@@ -204,11 +195,13 @@ class ConnectionTable:
         self.thr_py[h] = perf.increment - EPSILON
         self.delta_py[h] = perf.increment
         self.maxl_py[h] = perf.max_level
-        self.path_py[h] = prim_idx.tolist()
+        self.path[h] = path
         self.num_allocated += 1
         return h
 
-    def set_backup(self, h: int, bk_idx: np.ndarray, bk_nodes: np.ndarray, overlap: int) -> None:
+    def set_backup(
+        self, h: int, bk_idx: Sequence[int], bk_nodes: Sequence[int], overlap: int
+    ) -> None:
         """Attach (or replace) the backup route of handle ``h``."""
         if self.bk_len[h]:
             self.links_arena.garbage += int(self.bk_len[h])
@@ -230,13 +223,11 @@ class ConnectionTable:
         """Release handle ``h`` back to the free list."""
         self.state[h] = STATE_CODE[final_state]
         self.alloc[h] = False
-        self.conn_id[h] = -1
         self.qos[h] = None
         self.cid_py[h] = -1
-        self.path_py[h] = []
-        self.links_arena.garbage += int(self.prim_len[h] + self.bk_len[h])
+        self.path[h] = ()
+        self.links_arena.garbage += int(self.bk_len[h])
         self.nodes_arena.garbage += int(self.pnode_len[h] + self.bnode_len[h])
-        self.prim_len[h] = 0
         self.bk_len[h] = 0
         self.pnode_len[h] = 0
         self.bnode_len[h] = 0
@@ -247,11 +238,6 @@ class ConnectionTable:
     # ------------------------------------------------------------------
     # CSR access
     # ------------------------------------------------------------------
-    def prim_slice(self, h: int) -> np.ndarray:
-        """Dense link indices of ``h``'s primary route (arena view)."""
-        s = self.prim_start[h]
-        return self.links_arena.data[s : s + self.prim_len[h]]
-
     def bk_slice(self, h: int) -> np.ndarray:
         """Dense link indices of ``h``'s backup route (empty when none)."""
         s = self.bk_start[h]
@@ -270,7 +256,7 @@ class ConnectionTable:
     def _maybe_compact(self) -> None:
         """Compact the arenas once freed garbage outweighs live payload."""
         for arena, starts_lens in (
-            (self.links_arena, ((self.prim_start, self.prim_len), (self.bk_start, self.bk_len))),
+            (self.links_arena, ((self.bk_start, self.bk_len),)),
             (self.nodes_arena, ((self.pnode_start, self.pnode_len), (self.bnode_start, self.bnode_len))),
         ):
             live = arena.used - arena.garbage
@@ -298,12 +284,6 @@ class ConnectionTable:
     def live_mask(self) -> np.ndarray:
         """Handles currently carrying traffic (ACTIVE or FAILED_OVER)."""
         return self.alloc & (self.state <= STATE_CODE[ConnectionState.FAILED_OVER])
-
-    def live_connection_ids(self) -> List[int]:
-        """Sorted ids of all live connections (masked reduction)."""
-        ids = self.conn_id[self.live_mask()]
-        ids.sort()
-        return ids.tolist()
 
     def average_live_bandwidth(self) -> float:
         """Mean reserved bandwidth per live connection.
@@ -334,14 +314,13 @@ class ConnectionTable:
     # ------------------------------------------------------------------
     # diagnostics
     # ------------------------------------------------------------------
-    def primary_links_of(self, h: int, link_ids: List[LinkId]) -> List[LinkId]:
-        """``LinkId`` view of a primary route (derived from CSR)."""
-        return [link_ids[i] for i in self.prim_slice(h)]
-
-    def nbytes(self) -> Tuple[int, int]:
-        """(column bytes, arena bytes) — memory benchmark hook."""
+    def nbytes(self) -> Tuple[int, int, int]:
+        """(column bytes, arena bytes, list bytes) — memory benchmark hook."""
         cols = 0
         for name in _COLUMNS:
             cols += getattr(self, name).nbytes
         arenas = self.links_arena.data.nbytes + self.nodes_arena.data.nbytes
-        return cols, arenas
+        lists = list_nbytes(
+            self.cid_py, self.thr_py, self.delta_py, self.maxl_py, self.path, self.qos
+        )
+        return cols, arenas, lists

@@ -1,28 +1,29 @@
-"""Water-filling over struct-of-arrays state.
+"""Water-filling over the production core's link and connection tables.
 
 Production twin of :func:`repro.reference.fill`: the same
 increment-granular water-fill, run over the
-:class:`~repro.network.link_table.LinkTable` /
+:class:`~repro.network.link_table.LinkTable` lists and the
 :class:`~repro.channels.conn_table.ConnectionTable` columns.
 
 Bitwise contract.  Under equal share the reference pops the smallest
 ``(level, cid)`` and grants it one increment iff every link of its path
 still has spare ≥ its threshold.  :func:`_python_fill` performs the
 *same grants in the same order*: it serves level buckets of cid-sorted
-members, one member at a time, over plain-list snapshots of the link
-columns, and writes the result back in one batch.  Python floats are
-IEEE doubles and every spare test is the reference's left-to-right
-expression ``capacity - min - activated - extra``, so the float
-trajectory is the reference's on any bandwidths, on the paper's dyadic
-grid or off it.  Other policies rank members by their own priority and
-run the heap fill :func:`_fill_by_priority_soa`, the reference's loop
-transcribed onto the columns.
+members, one member at a time, and grants straight into the table's
+``primary_extra`` list.  Python floats are IEEE doubles and every spare
+test is ``spare_base - primary_extra``, where the table keeps
+``spare_base`` as ``capacity - min - activated``: the reference's
+left-to-right expression ``capacity - min - activated - extra``.  So
+the float trajectory is the reference's on any bandwidths, on the
+paper's dyadic grid or off it.  Other policies rank members by their
+own priority and run the heap fill :func:`_fill_by_priority_soa`, the
+reference's loop transcribed onto the tables.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,21 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - avoids an import cycle at runtime
     from repro.channels.conn_table import ConnectionTable
 
 __all__ = ["redistribute_soa", "drop_to_minimum_soa", "is_maximal_soa"]
-
-
-def _gather(conns: ConnectionTable, hs: np.ndarray) -> np.ndarray:
-    """Concatenated dense link indices of ``hs``'s primary paths.
-
-    Member ``j`` owns the next ``prim_len[hs[j]]`` entries.  Pure index
-    arithmetic (the ``cumsum``/``repeat`` ragged-gather idiom) — no
-    Python loop.
-    """
-    st = conns.prim_start[hs]
-    ln = conns.prim_len[hs]
-    ends = np.cumsum(ln)
-    flat = np.arange(int(ends[-1]), dtype=np.int64)
-    flat += np.repeat(st - (ends - ln), ln)
-    return conns.links_arena.data[flat]
 
 
 def redistribute_soa(
@@ -89,16 +75,14 @@ def _python_fill(
     granted: Dict[int, int],
     afters: Optional[Dict[int, int]],
 ) -> None:
-    """Run an equal-share fill member-by-member over Python mirrors.
+    """Run an equal-share fill member-by-member over the link lists.
 
     Per-member thresholds, increments, level caps, and paths come from
-    the :class:`ConnectionTable` Python mirrors (immutable per
-    allocation, no gather needed); only the mutable state — levels,
-    accumulated extras, link columns — is snapshotted per fill, and
-    only once some candidate is below its cap.  Only ``primary_extra``
-    mutates during a fill, so the other link columns are snapshotted as
-    the combined base ``capacity - primary_min - activated`` (the same
-    left-to-right association as the reference's spare expression).
+    the :class:`ConnectionTable` Python lists (immutable per
+    allocation, no gather needed).  The members' levels and
+    accumulated extras are gathered once, and only once some candidate
+    is below its cap; grants go straight into ``links.primary_extra``,
+    and each spare test reads the table's materialized ``spare_base``.
     """
     n = len(hs_list)
     hs_np = np.fromiter(hs_list, np.int64, n)
@@ -112,13 +96,13 @@ def _python_fill(
         if cur_l[j] < maxl_py[h]:
             buckets.setdefault(cur_l[j], []).append(j)
     if not buckets:
-        return  # every candidate at its cap: nothing to snapshot
+        return  # every candidate at its cap: nothing to gather
     thr_py = conns.thr_py
     delta_py = conns.delta_py
-    path_py = conns.path_py
+    paths = conns.path
     ce_l = conns.conn_extra[hs_np].tolist()
-    spare_base = (links.capacity - links.primary_min - links.activated).tolist()
-    extra_py = links.primary_extra.tolist()
+    spare_base = links.spare_base
+    extra = links.primary_extra
     grants_l = [0] * n
     while buckets:
         level = min(buckets)
@@ -127,14 +111,14 @@ def _python_fill(
         for j in members:
             h = hs_list[j]
             thr = thr_py[h]
-            path = path_py[h]
+            path = paths[h]
             for li in path:
-                if spare_base[li] - extra_py[li] < thr:
+                if spare_base[li] - extra[li] < thr:
                     break
             else:
                 delta = delta_py[h]
                 for li in path:
-                    extra_py[li] += delta
+                    extra[li] += delta
                 ce_l[j] += delta
                 grants_l[j] += 1
                 cur_l[j] += 1
@@ -152,7 +136,6 @@ def _python_fill(
     changed = [j for j in range(n) if grants_l[j]]
     if not changed:
         return  # nothing granted: columns untouched
-    links.primary_extra[:] = extra_py
     hs_ch = hs_np[changed]
     conns.conn_extra[hs_ch] = [ce_l[j] for j in changed]
     conns.level[hs_ch] = [cur_l[j] for j in changed]
@@ -183,9 +166,7 @@ def _fill_by_priority_soa(
     """
     priority = policy.priority
     extra = links.primary_extra
-    cap = links.capacity
-    pmin = links.primary_min
-    act = links.activated
+    spare_base = links.spare_base
     level_col = conns.level
     maxl_py = conns.maxl_py
     levels = level_col[np.fromiter(hs_list, np.int64, len(hs_list))].tolist()
@@ -196,7 +177,7 @@ def _fill_by_priority_soa(
         cid = conns.cid_py[h]
         qos = conns.qos[h]
         assert qos is not None
-        heap.append((priority(cid, level, qos.performance), cid, h, conns.path_py[h]))
+        heap.append((priority(cid, level, qos.performance), cid, h, conns.path[h]))
     heapq.heapify(heap)
     while heap:
         _, cid, h, path = heapq.heappop(heap)
@@ -207,7 +188,7 @@ def _fill_by_priority_soa(
         threshold = conns.thr_py[h]
         raisable = True
         for li in path:
-            if cap[li] - pmin[li] - act[li] - extra[li] < threshold:
+            if spare_base[li] - extra[li] < threshold:
                 raisable = False
                 break
         if not raisable:
@@ -231,7 +212,7 @@ def _fill_by_priority_soa(
 
 def drop_to_minimum_soa(
     links: LinkTable, conns: ConnectionTable, h: int
-) -> Tuple[int, np.ndarray]:
+) -> Tuple[int, Sequence[int]]:
     """Reclaim handle ``h``'s extras on its whole path and zero its level.
 
     Returns ``(previous_level, dense indices where bandwidth was
@@ -240,21 +221,16 @@ def drop_to_minimum_soa(
     """
     previous = int(conns.level[h])
     if previous == 0:
-        return 0, _EMPTY_IDX
-    freed = conns.conn_extra[h]
-    path = conns.prim_slice(h)
+        return 0, ()
+    freed = float(conns.conn_extra[h])
+    path = conns.path[h]
     if freed:
-        extra = links.primary_extra
-        for li in path:
-            extra[li] -= freed
+        links.reclaim_extras(path, freed)
         conns.conn_extra[h] = 0.0
     conns.level[h] = 0
     if freed > EPSILON:
         return previous, path
-    return previous, _EMPTY_IDX
-
-
-_EMPTY_IDX = np.zeros(0, dtype=np.int64)
+    return previous, ()
 
 
 def is_maximal_soa(links: LinkTable, conns: ConnectionTable, hs: Iterable[int]) -> bool:
@@ -264,6 +240,6 @@ def is_maximal_soa(links: LinkTable, conns: ConnectionTable, hs: Iterable[int]) 
         if conns.level[h] >= conns.maxl_py[h]:
             continue
         threshold = conns.thr_py[h]
-        if all(spare[li] >= threshold for li in conns.path_py[h]):
+        if all(spare[li] >= threshold for li in conns.path[h]):
             return False
     return True

@@ -69,27 +69,27 @@ class RoutePlan:
     """Precompiled, admission-ready artifacts of one cached route.
 
     Everything ``request_connection`` used to derive per arrival —
-    the int64 dense link-index array, the int64 node array (the shape
-    ``ConnectionTable.allocate`` wants), the ``frozenset`` of link ids
-    (conflict-set key), and the dense-index set seeding the affected-
-    link frontier — is computed once when the candidate is materialized
-    and reused for as long as the owning entry lives (the life of the
-    cache for an all-alive entry, one generation for a detour).
-    Plans are shared: callers must treat every field as immutable
-    (``ConnectionTable`` arenas copy on append, so handing the arrays
-    straight to ``allocate``/``set_backup`` is safe).
+    the dense link-index list, the int64 node array (the shape the
+    ``ConnectionTable`` node arena stores), the ``frozenset`` of link
+    ids (conflict-set key), and the dense-index set seeding the
+    affected-link frontier — is computed once when the candidate is
+    materialized and reused for as long as the owning entry lives (the
+    life of the cache for an all-alive entry, one generation for a
+    detour).  Plans are shared: callers must treat every field as
+    immutable.  The connection table keeps ``idx_list`` itself as the
+    connection's primary route, and its node arena copies ``nodes`` on
+    append.
     """
 
-    __slots__ = ("path", "links", "idx", "idx_list", "nodes", "link_set", "idx_set")
+    __slots__ = ("path", "links", "idx_list", "nodes", "link_set", "idx_set")
 
-    def __init__(self, path: List[int], links: List[LinkId], idx: np.ndarray) -> None:
+    def __init__(self, path: List[int], links: List[LinkId], idx_list: List[int]) -> None:
         self.path = path
         self.links = links
-        self.idx = idx
-        self.idx_list: List[int] = idx.tolist()
+        self.idx_list = idx_list
         self.nodes = np.asarray(path, dtype=np.int64)
         self.link_set: FrozenSet[LinkId] = frozenset(links)
-        self.idx_set: FrozenSet[int] = frozenset(self.idx_list)
+        self.idx_set: FrozenSet[int] = frozenset(idx_list)
 
 
 class BackupPlan:
@@ -105,7 +105,7 @@ class BackupPlan:
     __slots__ = ("path", "links", "idx", "nodes", "overlap")
 
     def __init__(
-        self, path: List[int], links: List[LinkId], idx: np.ndarray, overlap: int
+        self, path: List[int], links: List[LinkId], idx: List[int], overlap: int
     ) -> None:
         self.path = path
         self.links = links
@@ -133,9 +133,9 @@ class ArrayRouteCache:
     """Candidate-route cache over a :class:`LinkTable` (SoA core).
 
     Candidates are precompiled :class:`RoutePlan` objects carrying
-    dense link-index arrays and the derived sets an admission needs,
+    dense link-index lists and the derived sets an admission needs,
     and the admission re-check reads the table's materialized
-    ``headroom`` column directly per candidate link.
+    ``headroom`` list directly per candidate link.
 
     The cache does not discard what a failure does not touch.  Raw routes depend on connectivity, not load, and
     removing links removes paths without reordering the rest: the
@@ -186,7 +186,7 @@ class ArrayRouteCache:
         self._generation = generation
         self._detours.clear()
         link_ids = self.links.link_ids
-        down = np.flatnonzero(self.links.failed).tolist()
+        down = [li for li, failed in enumerate(self.links.failed) if failed]
         self._failed_idx = frozenset(down)
         self._failed_lids = frozenset(link_ids[li] for li in down)
 
@@ -226,11 +226,10 @@ class ArrayRouteCache:
         admissible route exists, or ``None`` when all probed candidates
         failed (caller falls back to a search).
 
-        The per-link test is the scalar transcription of
-        ``LinkTable.primary_admission_mask`` — alive and
-        ``b_min <= headroom + EPSILON`` — probed lazily so a cache hit
-        (the overwhelmingly common case) never pays for building the
-        full per-link mask.
+        The per-link test is the admission rule the manager's search
+        fallback filters with: alive and ``b_min <= headroom + EPSILON``.
+        Aliveness is settled per plan against the generation's failed
+        set, so the per-link probe reads ``headroom`` alone.
         """
         if generation != self._generation:
             self._new_generation(generation)
@@ -280,7 +279,7 @@ class ArrayRouteCache:
             self._new_generation(generation)
         plan = self._disjoint(self._entry(source, destination), primary_path, avoid)
         failed = self._failed_idx
-        if plan is None or not failed or failed.isdisjoint(plan.idx.tolist()):
+        if plan is None or not failed or failed.isdisjoint(plan.idx):
             # The least path of a graph that survives in a subgraph is
             # the subgraph's least path; none at all stays none.
             return plan

@@ -26,12 +26,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.experiments import paper_connection_qos
 from repro.channels import ArrayNetworkManager, make_manager
 from repro.channels.digest import manager_state_digest, manager_state_summary
 from repro.elastic.policies import MaxUtility, UtilityProportional
 from repro.faults.injectors import FaultConfig, build_injector
 from repro.qos.spec import ConnectionQoS, DependabilityQoS, ElasticQoS
 from repro.reference import ReferenceManager
+from repro.service.wal import parse_topology_arg
 from repro.sim import simulator
 from repro.sim.workload import Workload, WorkloadConfig
 from repro.topology.regular import grid_network
@@ -216,6 +218,57 @@ class TestTwinCampaigns:
 
     def test_cache_disabled(self):
         TwinDriver(16, route_cache_probe=0).run(150, faults=True)
+
+    def test_ledger_network_at_full_population(self):
+        """The benchmark ledger's network and QoS at 1 000 live connections.
+
+        The grid campaigns above keep fills small; here every arrival
+        squeezes dozens of channels and every departure refills
+        hundreds.  300 churn events follow, with a link failure or
+        repair every 50.
+        """
+        net = parse_topology_arg("waxman:nodes=60,edges=130,capacity=10000").build()
+        mo, ma = ReferenceManager(net), make_manager(net)
+        qos = paper_connection_qos()
+        rng = random.Random(40)
+        nodes = net.nodes()
+        live: list[int] = []
+
+        def arrive() -> None:
+            s, d = rng.sample(nodes, 2)
+            co, io_ = mo.request_connection(s, d, qos)
+            ca, ia = ma.request_connection(s, d, qos)
+            assert co == ca and _impact_key(io_) == _impact_key(ia)
+            if co is not None:
+                live.append(co.conn_id)
+
+        for _ in range(2000):
+            if len(live) == 1000:
+                break
+            arrive()
+        assert len(live) == 1000
+        for step in range(1, 301):
+            if step % 50 == 0:
+                failed = mo.state.failed_link_list()
+                if failed:
+                    mo.repair_link(failed[0])
+                    ma.repair_link(failed[0])
+                else:
+                    alive = mo.state.alive_link_list()
+                    lid = alive[rng.randrange(len(alive))]
+                    assert _impact_key(mo.fail_link(lid)) == _impact_key(ma.fail_link(lid))
+            elif rng.random() < 0.5:
+                arrive()
+            else:
+                cid = live.pop(rng.randrange(len(live)))
+                if mo.is_live(cid):
+                    io_ = mo.terminate_connection(cid)
+                    assert _impact_key(io_) == _impact_key(ma.terminate_connection(cid))
+        assert mo.stats.link_failures == 3
+        mo.check_invariants()
+        ma.check_invariants()
+        _assert_equal_state(mo, ma, "ledger network")
+        assert manager_state_digest(mo) == manager_state_digest(ma)
 
 
 INJECTOR_CONFIGS = {

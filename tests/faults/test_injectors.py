@@ -166,6 +166,20 @@ class TestCorrelatedBurstInjector:
             others = [o for o in impact.failed_links if o != lid]
             assert any(set(lid) & set(o) for o in others)
 
+    def test_shared_node_victims_are_pinned(self, waxman24, contract):
+        # The candidate pool is drawn from in sorted order; any other
+        # order (a set's, say) picks other victims from the same draws.
+        manager = make_manager(waxman24)
+        workload = make_workload(waxman24, contract)
+        config = FaultConfig(mode="burst", burst_size=4)
+        injector = CorrelatedBurstInjector(waxman24, workload, config)
+        bursts = [injector.inject_failure(manager).failed_links for _ in range(3)]
+        assert bursts == [
+            [(0, 3), (0, 10), (0, 20), (10, 21)],
+            [(3, 10), (7, 10), (7, 13), (7, 23)],
+            [(0, 1), (0, 11), (1, 11), (1, 13)],
+        ]
+
     def test_distance_kernel_needs_positions(self, ring6, contract):
         workload = make_workload(ring6, contract)
         config = FaultConfig(mode="burst", burst_kernel="distance")
@@ -226,3 +240,15 @@ class TestMarkovOnOffInjector:
         a = MarkovOnOffInjector(waxman24, workload, config)
         b = MarkovOnOffInjector(waxman24, workload, config)
         assert a.multipliers == b.multipliers
+
+    def test_rate_landscape_values_are_pinned(self, waxman24, contract):
+        # Drawn from ``default_rng(rate_seed)``; the legacy RandomState
+        # stream, for one, gives other multipliers.
+        workload = make_workload(waxman24, contract)
+        config = FaultConfig(mode="markov", rate_spread=0.5, rate_seed=4)
+        injector = MarkovOnOffInjector(waxman24, workload, config)
+        first = sorted(injector.multipliers)[:4]
+        assert [injector.multipliers[lid] for lid in first] == pytest.approx(
+            [0.6370573625879589, 0.8086746175029655, 2.0276185892832914, 1.2270020971746745],
+            rel=1e-12,
+        )

@@ -129,6 +129,7 @@ from repro.routing.disjoint import disjoint_path, maximally_disjoint_path
 from repro.routing.ksp import paths_iter_rows
 from repro.routing.shortest import bfs_path_rows
 from repro.topology.graph import link_id
+from repro.units import EPSILON
 
 SURVIVOR_SETTINGS = settings(max_examples=40, deadline=None)
 MUTANT_SEEDS = range(25)
@@ -185,11 +186,11 @@ def _array_manager(seed: int):
 
 def _rebuilt_primary(rows, t, s, d, b_min, probe_limit):
     """What a cache built now, on the live topology, would answer."""
-    admit = t.primary_admission_mask(b_min)
-    alive = lambda lid, li: not t.failed_py[li]  # noqa: E731
+    alive = lambda lid, li: not t.failed[li]  # noqa: E731
     probed = list(islice(paths_iter_rows(rows, s, d, alive), probe_limit))
     for path in probed:
-        if all(admit[t.index[link_id(a, b)]] for a, b in zip(path, path[1:])):
+        lis = [t.index[link_id(a, b)] for a, b in zip(path, path[1:])]
+        if all(b_min <= t.headroom[li] + EPSILON for li in lis):
             return path
     return None if len(probed) == probe_limit else NO_ROUTE
 
@@ -222,7 +223,7 @@ def check_survivor_equals_rebuilt(seed: int) -> None:
             )
             avoid = found.link_set
             reference = bfs_path_rows(
-                rows, s, d, lambda lid, li: lid not in avoid and not t.failed_py[li]
+                rows, s, d, lambda lid, li: lid not in avoid and not t.failed[li]
             )
             assert (backup.path if backup is not None else None) == reference
             assert backup is None or backup.overlap == 0
@@ -260,7 +261,7 @@ def check_partial_memo_equals_filtered_search(seed: int) -> None:
                     path,
                     bplan.overlap,
                 )
-            elif not all(t.can_admit_backup(li, b_min, conflict) for li in memo.idx.tolist()):
+            elif not all(t.can_admit_backup(li, b_min, conflict) for li in memo.idx):
                 # Crosses a failed or backup-full link: not returned.
                 assert bplan is not memo
 
@@ -305,10 +306,10 @@ def test_mutant_recheck_blind_to_failures_caught(monkeypatch):
 
     def blind_bulk(self, idx, b_min, primary_links):
         # ``can_admit_backup`` with the failed test cut out.
-        for li in idx.tolist():
-            reserved = float(self.backup_reserved[li])
+        for li in idx:
+            reserved = self.backup_reserved[li]
             growth = self.backup_reserved_with(li, b_min, primary_links) - reserved
-            if growth > float(self.headroom[li]) + 1e-6:
+            if growth > self.headroom[li] + 1e-6:
                 return False
         return True
 

@@ -14,6 +14,7 @@ from repro.routing.cache import NO_ROUTE, ArrayRouteCache
 from repro.routing.shortest import bfs_path_rows
 from repro.topology.graph import Network
 from repro.topology.regular import grid_network
+from repro.units import EPSILON
 
 #: A demand no 1000 Kb/s test link admits, and one every idle link does.
 HUGE = 10_000.0
@@ -282,8 +283,9 @@ class TestArrayPlanInvalidation:
         Drives one array manager through churn, failures, repairs and
         capacity mutations, and after every event compares the warm
         cache's ``primary_plan`` against (a) a freshly built cache and
-        (b) the filtered BFS over ``primary_admission_mask`` — the
-        cold path the manager falls back to.
+        (b) the BFS filtered by the primary admission rule (alive, and
+        ``b_min`` fits the headroom) — the cold path the manager falls
+        back to.
         """
         rng = random.Random(seed)
         net = grid_network(3, 3, capacity=300.0)
@@ -334,9 +336,11 @@ class TestArrayPlanInvalidation:
                 assert cold is not None and cold is not NO_ROUTE
                 assert warm.path == cold.path
                 assert warm.idx_list == cold.idx_list
-            admit = t.primary_admission_mask(b_min)
             reference = bfs_path_rows(
-                state.adjacency_rows(), s, d, lambda lid, li_: bool(admit[li_])
+                state.adjacency_rows(),
+                s,
+                d,
+                lambda lid, li_: not t.failed[li_] and b_min <= t.headroom[li_] + EPSILON,
             )
             if warm is NO_ROUTE:
                 assert reference is None
