@@ -23,8 +23,7 @@ from repro.analysis.chaining import (
     snapshot_chaining,
 )
 from repro.analysis.confidence import ReplicationResult, replicate
-from repro.analysis.export import to_csv, to_json, write_csv, write_json
-from repro.analysis.ideal import clamped_ideal, ideal_average_bandwidth, ideal_for_network
+from repro.analysis.ideal import ideal_average_bandwidth, ideal_for_network
 from repro.analysis.report import relative_error, render_series, render_table
 from repro.analysis.validation import ValidationReport, validate_against_model
 
@@ -47,11 +46,6 @@ __all__ = [
     "snapshot_chaining",
     "ReplicationResult",
     "replicate",
-    "to_csv",
-    "to_json",
-    "write_csv",
-    "write_json",
-    "clamped_ideal",
     "ideal_average_bandwidth",
     "ideal_for_network",
     "relative_error",

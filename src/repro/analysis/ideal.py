@@ -41,18 +41,3 @@ def ideal_for_network(net: Network, num_channels: int) -> float:
         raise SimulationError("ideal formula assumes uniform link capacity")
     avghop = average_shortest_path_hops(net)
     return ideal_average_bandwidth(capacity, net.num_links, num_channels, avghop)
-
-
-def clamped_ideal(
-    ideal: float, b_min: float, b_max: float
-) -> float:
-    """Ideal bandwidth clamped to the feasible elastic range.
-
-    The raw formula can exceed ``b_max`` (light load: every channel
-    saturates at its maximum) or fall below ``b_min`` (overload: no
-    admitted channel ever goes below its minimum); the clamp is what an
-    admitted channel could actually receive.
-    """
-    if b_min > b_max:
-        raise SimulationError(f"b_min {b_min} exceeds b_max {b_max}")
-    return max(b_min, min(b_max, ideal))

@@ -240,7 +240,7 @@ class ArrayNetworkManager:
             backup_overlap=int(c.backup_overlap[h]),
             level=int(c.level[h]),
             state=CODE_STATE[int(c.state[h])],
-            on_backup=bool(c.on_backup[h]),
+            on_backup=int(c.state[h]) == _FAILED_OVER,
             established_at=float(c.established_at[h]),
         )
 
@@ -822,7 +822,6 @@ class ArrayNetworkManager:
                     t.activate_backup(li, b_min, conflict)
                     self._backups_on[li].discard(h)
                     self._active_on[li].add(h)
-                conns.on_backup[h] = True
                 conns.state[h] = _FAILED_OVER
                 impact.activated.append(cid)
                 self.stats.backups_activated += 1
@@ -888,12 +887,7 @@ class ArrayNetworkManager:
     def redistribute_all(self) -> Dict[int, int]:
         """Global water-fill over every ACTIVE elastic primary."""
         conns = self.conns
-        mask = (
-            conns.alloc
-            & (conns.state == _ACTIVE)
-            & ~conns.on_backup
-            & conns.elastic
-        )
+        mask = (conns.state == _ACTIVE) & conns.elastic
         hs = sorted(np.flatnonzero(mask).tolist(), key=conns.cid_py.__getitem__)
         if not hs:
             return {}
@@ -945,7 +939,7 @@ class ArrayNetworkManager:
         conns = self.conns
         t = self.links
         strict = not self.state.num_failed and self.stats.link_failures == 0
-        live = np.flatnonzero(conns.alloc)
+        live = np.flatnonzero(conns.live_mask())
         primaries = []
         backups = []
         activated = []
@@ -957,7 +951,7 @@ class ArrayNetworkManager:
                     backups.append(
                         (conns.bk_slice(h).tolist(), b_min, self._conflict_of(h))
                     )
-            elif conns.on_backup[h]:
+            else:  # FAILED_OVER
                 activated.append((conns.bk_slice(h).tolist(), b_min))
         t.check_invariants(primaries, backups, activated, strict_reservation=strict)
 
@@ -977,7 +971,7 @@ class ArrayNetworkManager:
         if ids != sorted(ids):
             raise ReservationError("handle map is not in conn-id order")
         for cid, h in self._h_of.items():
-            if conns.cid_py[h] != cid or not conns.alloc[h]:
+            if conns.cid_py[h] != cid or int(conns.state[h]) > _FAILED_OVER:
                 raise ReservationError(f"handle map out of sync for connection {cid}")
             if int(conns.state[h]) == _ACTIVE:
                 qos = conns.qos[h]

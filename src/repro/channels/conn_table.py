@@ -51,8 +51,8 @@ _I8 = np.int64
 
 #: Names of the per-handle NumPy columns (grown and sized together).
 _COLUMNS = (
-    "level", "b_min", "increment", "state", "on_backup", "elastic", "alloc",
-    "established_at", "backup_overlap", "source", "destination", "conn_extra",
+    "level", "b_min", "increment", "state", "elastic", "established_at",
+    "backup_overlap", "source", "destination", "conn_extra",
     "bk_start", "bk_len", "pnode_start", "pnode_len", "bnode_start", "bnode_len",
 )
 
@@ -96,10 +96,12 @@ class ConnectionTable:
         self.level = np.zeros(n, dtype=_I8)
         self.b_min = np.zeros(n, dtype=_F8)
         self.increment = np.zeros(n, dtype=_F8)
+        #: Lifecycle code; a handle is allocated iff ``state <=
+        #: FAILED_OVER`` and carries traffic on its backup iff
+        #: ``state == FAILED_OVER``.  Free handles read TERMINATED or
+        #: DROPPED.
         self.state = np.full(n, STATE_CODE[ConnectionState.TERMINATED], dtype=np.int8)
-        self.on_backup = np.zeros(n, dtype=np.bool_)
         self.elastic = np.zeros(n, dtype=np.bool_)
-        self.alloc = np.zeros(n, dtype=np.bool_)
         self.established_at = np.zeros(n, dtype=_F8)
         self.backup_overlap = np.zeros(n, dtype=_I8)
         self.source = np.zeros(n, dtype=_I8)
@@ -178,9 +180,7 @@ class ConnectionTable:
         self.b_min[h] = perf.b_min
         self.increment[h] = perf.increment
         self.state[h] = STATE_CODE[ConnectionState.ACTIVE]
-        self.on_backup[h] = False
         self.elastic[h] = perf.is_elastic()
-        self.alloc[h] = True
         self.established_at[h] = established_at
         self.backup_overlap[h] = 0
         self.source[h] = source
@@ -222,7 +222,6 @@ class ConnectionTable:
     def free(self, h: int, final_state: ConnectionState) -> None:
         """Release handle ``h`` back to the free list."""
         self.state[h] = STATE_CODE[final_state]
-        self.alloc[h] = False
         self.qos[h] = None
         self.cid_py[h] = -1
         self.path[h] = ()
@@ -264,7 +263,7 @@ class ConnectionTable:
                 continue
             packed = np.zeros(len(arena.data), dtype=_I8)
             cursor = 0
-            handles = np.flatnonzero(self.alloc)
+            handles = np.flatnonzero(self.live_mask())
             for starts, lens in starts_lens:
                 for h in handles:
                     n = int(lens[h])
@@ -282,8 +281,8 @@ class ConnectionTable:
     # masked reductions
     # ------------------------------------------------------------------
     def live_mask(self) -> np.ndarray:
-        """Handles currently carrying traffic (ACTIVE or FAILED_OVER)."""
-        return self.alloc & (self.state <= STATE_CODE[ConnectionState.FAILED_OVER])
+        """Allocated handles: those carrying traffic (ACTIVE or FAILED_OVER)."""
+        return self.state <= STATE_CODE[ConnectionState.FAILED_OVER]
 
     def average_live_bandwidth(self) -> float:
         """Mean reserved bandwidth per live connection.
@@ -298,16 +297,13 @@ class ConnectionTable:
         if not count:
             return 0.0
         bw = self.b_min[mask] + self.level[mask] * self.increment[mask]
-        np.copyto(bw, self.b_min[mask], where=self.on_backup[mask])
+        on_backup = self.state[mask] == STATE_CODE[ConnectionState.FAILED_OVER]
+        np.copyto(bw, self.b_min[mask], where=on_backup)
         return float(np.sum(bw)) / count
 
     def level_histogram(self, num_levels: int) -> List[int]:
         """Count of ACTIVE elastic primaries at each level (state S_i)."""
-        mask = (
-            self.alloc
-            & (self.state == STATE_CODE[ConnectionState.ACTIVE])
-            & ~self.on_backup
-        )
+        mask = self.state == STATE_CODE[ConnectionState.ACTIVE]
         clipped = np.minimum(self.level[mask], num_levels - 1)
         return np.bincount(clipped, minlength=num_levels).tolist()
 

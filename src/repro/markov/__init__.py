@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.markov.ctmc import (
     expected_value,
     is_irreducible,
-    mean_holding_times,
     steady_state,
     transient,
     validate_generator,
@@ -25,7 +24,6 @@ from repro.markov.sensitivity import (
 )
 from repro.markov.parameters import (
     MarkovParameters,
-    identity_matrix,
     uniform_downward_matrix,
     uniform_upward_matrix,
 )
@@ -33,7 +31,6 @@ from repro.markov.parameters import (
 __all__ = [
     "expected_value",
     "is_irreducible",
-    "mean_holding_times",
     "steady_state",
     "transient",
     "validate_generator",
@@ -48,7 +45,6 @@ __all__ = [
     "local_sensitivities",
     "sweep_parameter",
     "MarkovParameters",
-    "identity_matrix",
     "uniform_downward_matrix",
     "uniform_upward_matrix",
 ]

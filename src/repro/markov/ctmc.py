@@ -204,14 +204,6 @@ def transient(
     return out / out.sum()
 
 
-def mean_holding_times(q: np.ndarray) -> np.ndarray:
-    """Expected sojourn time in each state, ``1 / -Q_ii`` (inf for absorbing)."""
-    validate_generator(q)
-    diag = -np.diag(np.asarray(q, dtype=float))
-    with np.errstate(divide="ignore"):
-        return np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), np.inf)
-
-
 def expected_value(pi: np.ndarray, values: np.ndarray) -> float:
     """Steady-state expectation of a per-state quantity."""
     pi = np.asarray(pi, dtype=float)

@@ -144,8 +144,3 @@ def uniform_upward_matrix(n: int) -> np.ndarray:
     for i in range(n):
         b[i, i:] = 1.0 / (n - i)
     return b
-
-
-def identity_matrix(n: int) -> np.ndarray:
-    """The no-change transition matrix."""
-    return np.eye(n)

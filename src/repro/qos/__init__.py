@@ -2,12 +2,6 @@
 
 from __future__ import annotations
 
-from repro.qos.interval import (
-    IntervalQoS,
-    IntervalRegulator,
-    RegulatorStats,
-    SkipOverRegulator,
-)
 from repro.qos.spec import (
     ConnectionQoS,
     DependabilityQoS,
@@ -18,10 +12,6 @@ from repro.qos.spec import (
 )
 
 __all__ = [
-    "IntervalQoS",
-    "IntervalRegulator",
-    "RegulatorStats",
-    "SkipOverRegulator",
     "ConnectionQoS",
     "DependabilityQoS",
     "ElasticQoS",

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.analysis.ideal import clamped_ideal, ideal_average_bandwidth, ideal_for_network
+from repro.analysis.ideal import ideal_average_bandwidth, ideal_for_network
 from repro.topology.graph import Network
 from repro.topology.regular import ring_network
 
@@ -45,18 +45,3 @@ class TestForNetwork:
     def test_empty_network_rejected(self):
         with pytest.raises(SimulationError):
             ideal_for_network(Network(), 5)
-
-
-class TestClamp:
-    def test_within_range(self):
-        assert clamped_ideal(300.0, 100.0, 500.0) == 300.0
-
-    def test_clamps_high(self):
-        assert clamped_ideal(900.0, 100.0, 500.0) == 500.0
-
-    def test_clamps_low(self):
-        assert clamped_ideal(50.0, 100.0, 500.0) == 100.0
-
-    def test_inverted_range_rejected(self):
-        with pytest.raises(SimulationError):
-            clamped_ideal(300.0, 500.0, 100.0)

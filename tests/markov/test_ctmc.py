@@ -7,7 +7,6 @@ from repro.errors import MarkovModelError
 from repro.markov.ctmc import (
     expected_value,
     is_irreducible,
-    mean_holding_times,
     steady_state,
     transient,
     validate_generator,
@@ -164,16 +163,6 @@ class TestTransient:
 
 
 class TestDerivedQuantities:
-    def test_mean_holding_times(self):
-        q = np.array([[-2.0, 2.0], [4.0, -4.0]])
-        assert np.allclose(mean_holding_times(q), [0.5, 0.25])
-
-    def test_absorbing_state_infinite_holding(self):
-        q = np.array([[-1.0, 1.0], [0.0, 0.0]])
-        holding = mean_holding_times(q)
-        assert holding[0] == 1.0
-        assert np.isinf(holding[1])
-
     def test_expected_value(self):
         pi = np.array([0.25, 0.75])
         values = np.array([100.0, 200.0])

@@ -7,7 +7,6 @@ from repro.errors import MarkovModelError
 from repro.markov.model import ElasticQoSMarkovModel
 from repro.markov.parameters import (
     MarkovParameters,
-    identity_matrix,
     uniform_downward_matrix,
     uniform_upward_matrix,
 )
@@ -93,8 +92,8 @@ class TestSolution:
         p = params(
             n=n,
             ps=0.0,
-            b=identity_matrix(n),
-            t=identity_matrix(n),
+            b=np.eye(n),
+            t=np.eye(n),
             a=uniform_downward_matrix(n),
         )
         sol = ElasticQoSMarkovModel(qos(n), p).solve()
@@ -103,7 +102,7 @@ class TestSolution:
 
     def test_pure_upward_pressure_pins_to_maximum(self):
         n = 4
-        p = params(n=n, a=identity_matrix(n))
+        p = params(n=n, a=np.eye(n))
         sol = ElasticQoSMarkovModel(qos(n), p).solve()
         assert sol.pi[-1] == pytest.approx(1.0)
         assert sol.average_bandwidth == pytest.approx(250.0)

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import MarkovModelError
 from repro.markov.parameters import (
     MarkovParameters,
-    identity_matrix,
     uniform_downward_matrix,
     uniform_upward_matrix,
 )
@@ -40,9 +39,6 @@ class TestSyntheticMatrices:
         assert np.allclose(b.sum(axis=1), 1.0)
         assert np.allclose(np.tril(b, k=-1), 0.0)
         assert b[3, 3] == 1.0
-
-    def test_identity(self):
-        assert np.array_equal(identity_matrix(3), np.eye(3))
 
 
 class TestValidation:
@@ -84,7 +80,7 @@ class TestValidation:
             make_params(n=0)
 
     def test_optional_f_validated(self):
-        make_params(f=identity_matrix(3))
+        make_params(f=np.eye(3))
         with pytest.raises(MarkovModelError):
             make_params(f=np.zeros((3, 3)))
 
@@ -93,7 +89,7 @@ class TestHelpers:
     def test_failure_matrix_defaults_to_a(self):
         params = make_params()
         assert params.failure_matrix is params.a
-        with_f = make_params(f=identity_matrix(3))
+        with_f = make_params(f=np.eye(3))
         assert np.array_equal(with_f.failure_matrix, np.eye(3))
 
     def test_with_failure_rate_copies(self):

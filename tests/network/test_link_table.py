@@ -86,7 +86,7 @@ def test_is_maximal_soa_sees_new_capacity():
     conn, _ = manager.request_connection(0, 2, qos)
     assert conn is not None and conn.level == 9  # the links are full
     links, conns = manager.links, manager.conns
-    handles = np.flatnonzero(conns.alloc).tolist()
+    handles = np.flatnonzero(conns.live_mask()).tolist()
     assert is_maximal_soa(links, conns, handles)
     for li in range(len(links)):
         links.set_capacity(li, 1200.0)

@@ -1,7 +1,7 @@
 """Smoke tests: every example script parses, imports and defines main().
 
 Every example stays importable and wired to real library APIs (a
-renamed function would break the import, not just the run).  The four
+renamed function would break the import, not just the run).  The three
 that drive a manager directly run in about a second each, so they also
 run in full with their stdout pinned by a SHA-256: the array core's
 connection records are snapshots, and an example that keeps one across
@@ -24,7 +24,6 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 PINNED_STDOUT = {
     "quickstart": "31c27362419675672d698fd10243251398155429c1ae35529747e2634affcec2",
     "failure_recovery": "44c49d2fd228ab0343ce6e2f55bad83181f852ce23079647800fbc49c71bed99",
-    "runtime_scheduling": "2dc8ee57feccf4fe044cc2a21a589fa3fba29a71016e4949f187ead5cf46f08b",
     "video_service": "7e89663a7c0bdc19f890820346f95dad92ee484f0ada380ac9fae308271f6cd6",
 }
 
@@ -46,7 +45,6 @@ def test_expected_example_set():
         "analytic_vs_simulation",
         "capacity_planning",
         "model_sensitivity",
-        "runtime_scheduling",
     } <= names
 
 

@@ -65,7 +65,6 @@ class TestPublicApi:
         import repro.markov
         import repro.qos
         import repro.routing
-        import repro.runtime
         import repro.sim
         import repro.topology
 
@@ -74,7 +73,6 @@ class TestPublicApi:
             repro.markov,
             repro.qos,
             repro.routing,
-            repro.runtime,
             repro.sim,
             repro.topology,
         ):
